@@ -90,6 +90,19 @@ void bm_mesh_cycle(benchmark::State& state)
 }
 BENCHMARK(bm_mesh_cycle);
 
+void bm_mesh_idle_cycle(benchmark::State& state)
+{
+    // The same mesh with nothing in flight: what a step costs on the many
+    // executed D-NUCA cycles whose traffic is elsewhere (banks, memory).
+    noc::mesh_network mesh({4, 4}, 8, 5);
+    cycle_t now = 0;
+    for (auto _ : state) {
+        mesh.step(now++);
+        benchmark::DoNotOptimize(mesh.quiescent());
+    }
+}
+BENCHMARK(bm_mesh_idle_cycle);
+
 void bm_system_simulation(benchmark::State& state)
 {
     // Whole-system throughput in simulated instructions per wall second.

@@ -17,6 +17,7 @@ dnuca_cache::dnuca_cache(const dnuca_config& config, mem::txn_id_source& ids)
                                                 int(config.bank_sets),
                                                 int(config.rows) + 1);
     banks_.resize(std::size_t(config.bank_sets) * config.rows);
+    busy_banks_ = index_set(banks_.size());
     for (unsigned row = 1; row <= config.rows; ++row) {
         for (unsigned col = 0; col < config.bank_sets; ++col) {
             bank& b = bank_at(col, row);
@@ -53,6 +54,7 @@ dnuca_cache::dnuca_cache(const dnuca_config& config, mem::txn_id_source& ids)
     h_orphan_reply_ = counters_.handle_of("orphan_reply");
     h_promotion_spills_ = counters_.handle_of("promotion_spills");
     h_promotions_ = counters_.handle_of("promotions");
+    h_read_probes_ = counters_.handle_of("read_probes");
     h_read_hits_ = counters_.handle_of("read_hits");
     h_read_misses_ = counters_.handle_of("read_misses");
     h_tail_evictions_ = counters_.handle_of("tail_evictions");
@@ -60,6 +62,7 @@ dnuca_cache::dnuca_cache(const dnuca_config& config, mem::txn_id_source& ids)
     h_unexpected_controller_flit_ = counters_.handle_of("unexpected_controller_flit");
     h_untracked_response_ = counters_.handle_of("untracked_response");
     h_write_installs_ = counters_.handle_of("write_installs");
+    h_write_probes_ = counters_.handle_of("write_probes");
     h_writes_coalesced_ = counters_.handle_of("writes_coalesced");
     h_writes_filtered_ = counters_.handle_of("writes_filtered");
     // Pre-size the controller-side queues: a probe set is `rows` flits and
@@ -150,7 +153,7 @@ void dnuca_cache::accept(const mem::mem_request& request)
     for (unsigned row = 1; row <= config_.rows; ++row)
         send_packet(outbox, probe_kind, {0, 0}, bank_coord(column, row),
                     block, group, 1, now);
-    counters_.inc(demand_read ? "read_probes" : "write_probes");
+    counters_.inc(demand_read ? h_read_probes_ : h_write_probes_);
 }
 
 void dnuca_cache::respond(const mem::mem_response& response)
@@ -226,14 +229,16 @@ cycle_t dnuca_cache::next_event(cycle_t now) const
     if (!mesh_->quiescent())
         return now;
     // Quiet: only bank-array completions and main-memory responses remain.
+    // Banks outside busy_banks_ hold nothing, so they bound nothing.
     cycle_t next = memory_responses_.next_ready();
-    for (const auto& b : banks_) {
-        if (!b.probes.empty() || !b.write_probes.empty() ||
-            !b.outbox.queue.empty())
-            return now;
+    bool busy = false;
+    busy_banks_.for_each([&](std::size_t i) {
+        const bank& b = banks_[i];
+        busy = busy || !b.probes.empty() || !b.write_probes.empty() ||
+               !b.outbox.queue.empty();
         next = std::min(next, b.lookups.next_ready());
-    }
-    return next;
+    });
+    return busy ? now : next;
 }
 
 std::uint64_t dnuca_cache::state_digest() const
@@ -281,9 +286,14 @@ void dnuca_cache::tick(cycle_t now)
         inject_from(controller_outbox_, {0, 0});
     else
         inject_from(controller_write_outbox_, {0, 0});
-    for (unsigned row = 1; row <= config_.rows; ++row)
-        for (unsigned col = 0; col < config_.bank_sets; ++col)
-            inject_from(bank_at(col, row).outbox, bank_coord(col, row));
+    busy_banks_.for_each([&](std::size_t i) {
+        bank& b = banks_[i];
+        inject_from(b.outbox, bank_coord(unsigned(i % config_.bank_sets),
+                                         unsigned(i / config_.bank_sets) + 1));
+        if (b.probes.empty() && b.write_probes.empty() && b.lookups.empty() &&
+            b.outbox.queue.empty())
+            busy_banks_.erase(i);
+    });
 
     drain_memory_queue(now);
     mesh_->step(now);
@@ -321,82 +331,88 @@ void dnuca_cache::process_memory_responses(cycle_t now)
 
 void dnuca_cache::eject_and_handle(cycle_t now)
 {
-    // Controller ejection point.
-    if (auto f = mesh_->at({0, 0}).local_eject())
-        controller_flit(now, *f);
-
-    // Bank ejection points.
-    for (unsigned row = 1; row <= config_.rows; ++row) {
-        for (unsigned col = 0; col < config_.bank_sets; ++col) {
-            auto f = mesh_->at(bank_coord(col, row)).local_eject();
-            if (!f)
-                continue;
-            switch (f->kind) {
-            case noc::packet_kind::request:
-                bank_at(col, row).probes.push_back(*f);
-                break;
-            case noc::packet_kind::writeback:
-                bank_at(col, row).write_probes.push_back(*f);
-                break;
-            case noc::packet_kind::migrate:
-                // Functional swap already applied; the packet models the
-                // traffic. Nothing to do at arrival.
-                if (f->tail())
-                    counters_.inc(h_migrations_delivered_);
-                break;
-            default:
-                counters_.inc(h_unexpected_bank_flit_);
-                break;
-            }
+    // One flit per ejection point per cycle, in router index order: the
+    // controller at (0,0) first, then the banks row by row.
+    mesh_->for_each_ejecting([&](noc::vc_router& router) {
+        const noc::coord at = router.position();
+        if (at.y == 0) {
+            // Row 0 is the controller rail; only (0,0) has an ejection port.
+            if (at.x == 0)
+                controller_flit(now, *router.local_eject());
+            return;
         }
-    }
+        const noc::flit f = *router.local_eject();
+        const std::size_t i = bank_index(unsigned(at.x), unsigned(at.y));
+        switch (f.kind) {
+        case noc::packet_kind::request:
+            banks_[i].probes.push_back(f);
+            busy_banks_.insert(i);
+            break;
+        case noc::packet_kind::writeback:
+            banks_[i].write_probes.push_back(f);
+            busy_banks_.insert(i);
+            break;
+        case noc::packet_kind::migrate:
+            // Functional swap already applied; the packet models the
+            // traffic. Nothing to do at arrival.
+            if (f.tail())
+                counters_.inc(h_migrations_delivered_);
+            break;
+        default:
+            counters_.inc(h_unexpected_bank_flit_);
+            break;
+        }
+    });
 }
 
 void dnuca_cache::run_banks(cycle_t now)
 {
-    for (unsigned row = 1; row <= config_.rows; ++row) {
-        for (unsigned col = 0; col < config_.bank_sets; ++col) {
-            bank& b = bank_at(col, row);
+    // Idle banks have nothing to finish or start. promote() may add the
+    // bank one row up, which precedes this one in index order, so the pass
+    // never reaches a bank it made busy (the injection pass picks it up).
+    busy_banks_.for_each([&](std::size_t i) {
+        const unsigned row = unsigned(i / config_.bank_sets) + 1;
+        const unsigned col = unsigned(i % config_.bank_sets);
+        bank& b = banks_[i];
 
-            // Finish lookups whose completion time arrived.
-            while (auto probe = b.lookups.pop_ready(now)) {
-                const addr_t block = to_bank_addr(probe->addr);
-                counters_.inc(h_bank_lookups_);
-                const bool is_write_probe =
-                    probe->kind == noc::packet_kind::writeback;
-                const auto hit = b.tags->lookup(block);
-                if (hit && !is_write_probe) {
-                    row_hits_[row]++;
-                    counters_.inc(h_bank_read_hits_);
-                    send_packet(b.outbox, noc::packet_kind::reply,
-                                bank_coord(col, row), {0, 0}, probe->addr,
-                                probe->txn, flits_for_block(), now);
-                    if (row > 1)
-                        promote(now, col, row, block);
-                } else if (hit && is_write_probe) {
-                    b.tags->set_dirty(block, true);
-                    counters_.inc(h_bank_write_hits_);
-                    send_packet(b.outbox, noc::packet_kind::reply,
-                                bank_coord(col, row), {0, 0}, probe->addr,
-                                probe->txn, 1, now); // write ack
-                } else {
-                    send_packet(b.outbox, noc::packet_kind::nack,
-                                bank_coord(col, row), {0, 0}, probe->addr,
-                                probe->txn, 1, now);
-                }
-            }
-
-            // Start the next probe when the array is free; reads first.
-            if (b.busy_until <= now &&
-                (!b.probes.empty() || !b.write_probes.empty())) {
-                auto& queue = b.probes.empty() ? b.write_probes : b.probes;
-                const noc::flit probe = queue.take_front();
-                b.busy_until = now + config_.bank_initiation;
-                const cycle_t done = now + config_.bank_latency;
-                b.lookups.push(done > 0 ? done - 1 : 0, probe);
+        // Finish lookups whose completion time arrived.
+        while (auto probe = b.lookups.pop_ready(now)) {
+            const addr_t block = to_bank_addr(probe->addr);
+            counters_.inc(h_bank_lookups_);
+            const bool is_write_probe =
+                probe->kind == noc::packet_kind::writeback;
+            const auto hit = b.tags->lookup(block);
+            if (hit && !is_write_probe) {
+                row_hits_[row]++;
+                counters_.inc(h_bank_read_hits_);
+                send_packet(b.outbox, noc::packet_kind::reply,
+                            bank_coord(col, row), {0, 0}, probe->addr,
+                            probe->txn, flits_for_block(), now);
+                if (row > 1)
+                    promote(now, col, row, block);
+            } else if (hit && is_write_probe) {
+                b.tags->set_dirty(block, true);
+                counters_.inc(h_bank_write_hits_);
+                send_packet(b.outbox, noc::packet_kind::reply,
+                            bank_coord(col, row), {0, 0}, probe->addr,
+                            probe->txn, 1, now); // write ack
+            } else {
+                send_packet(b.outbox, noc::packet_kind::nack,
+                            bank_coord(col, row), {0, 0}, probe->addr,
+                            probe->txn, 1, now);
             }
         }
-    }
+
+        // Start the next probe when the array is free; reads first.
+        if (b.busy_until <= now &&
+            (!b.probes.empty() || !b.write_probes.empty())) {
+            auto& queue = b.probes.empty() ? b.write_probes : b.probes;
+            const noc::flit probe = queue.take_front();
+            b.busy_until = now + config_.bank_initiation;
+            const cycle_t done = now + config_.bank_latency;
+            b.lookups.push(done > 0 ? done - 1 : 0, probe);
+        }
+    });
 }
 
 void dnuca_cache::promote(cycle_t now, unsigned column, unsigned row,
@@ -439,6 +455,7 @@ void dnuca_cache::promote(cycle_t now, unsigned column, unsigned row,
     send_packet(upper.outbox, noc::packet_kind::migrate,
                 bank_coord(column, row - 1), bank_coord(column, row), block,
                 0, flits_for_block(), now);
+    busy_banks_.insert(bank_index(column, row - 1));
 }
 
 void dnuca_cache::controller_flit(cycle_t now, const noc::flit& f)

@@ -15,6 +15,7 @@
 // exactly the structural bottleneck the L-NUCA paper criticises.
 #pragma once
 
+#include "src/common/index_set.h"
 #include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
@@ -145,9 +146,13 @@ private:
     {
         return {int(column), int(row)}; // rows 1..config_.rows hold banks
     }
+    std::size_t bank_index(unsigned column, unsigned row) const
+    {
+        return std::size_t(row - 1) * config_.bank_sets + column;
+    }
     bank& bank_at(unsigned column, unsigned row)
     {
-        return banks_[(row - 1) * config_.bank_sets + column];
+        return banks_[bank_index(column, row)];
     }
     unsigned column_of(addr_t block) const
     {
@@ -200,6 +205,7 @@ private:
     counter_set::handle h_orphan_reply_ = 0;
     counter_set::handle h_promotion_spills_ = 0;
     counter_set::handle h_promotions_ = 0;
+    counter_set::handle h_read_probes_ = 0;
     counter_set::handle h_read_hits_ = 0;
     counter_set::handle h_read_misses_ = 0;
     counter_set::handle h_tail_evictions_ = 0;
@@ -207,6 +213,7 @@ private:
     counter_set::handle h_unexpected_controller_flit_ = 0;
     counter_set::handle h_untracked_response_ = 0;
     counter_set::handle h_write_installs_ = 0;
+    counter_set::handle h_write_probes_ = 0;
     counter_set::handle h_writes_coalesced_ = 0;
     counter_set::handle h_writes_filtered_ = 0;
 
@@ -215,6 +222,10 @@ private:
 
     std::unique_ptr<noc::mesh_network> mesh_;
     std::vector<bank> banks_;
+    /// Banks holding probes, lookups or outbox flits (bank_index order). A
+    /// cycle runs, injects from and polls only these; a bank leaves the set
+    /// once all four of its queues are empty.
+    index_set busy_banks_;
     injector controller_outbox_;        ///< read probes (priority)
     injector controller_write_outbox_;  ///< write probes (background)
     ring_queue<mem::mem_request> memory_queue_; ///< misses + writebacks out

@@ -4,6 +4,7 @@
 // control, round-robin switch allocation, one cycle per hop.
 #pragma once
 
+#include "src/common/index_set.h"
 #include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
@@ -21,6 +22,7 @@ enum class port_dir : std::uint8_t { local = 0, north, south, east, west };
 inline constexpr std::size_t port_count = 5;
 
 struct router_config {
+    /// 1..12: a router's port_count x VCs input slots fit one 64-bit mask.
     std::uint32_t virtual_channels = 4;
     std::uint32_t vc_depth = 4; ///< flit buffer entries per VC
 };
@@ -28,10 +30,12 @@ struct router_config {
 class mesh_network; // forward; owns and wires routers
 
 /// One mesh node. Input-buffered; the local port is the bank/controller
-/// attachment point.
+/// attachment point. Routers only exist inside a mesh_network, which keeps
+/// the network-wide occupancy their local ports update.
 class vc_router {
 public:
-    vc_router(const router_config& config, coord position);
+    vc_router(const router_config& config, coord position, std::size_t index,
+              mesh_network& mesh);
 
     coord position() const { return position_; }
 
@@ -45,6 +49,8 @@ public:
     std::optional<flit> local_eject();
 
     const counter_set& counters() const { return counters_; }
+    /// Full scan of the buffers and the ejection queue (not the counts the
+    /// mesh steps by), so tests can hold mesh_network::quiescent() to it.
     bool quiescent() const;
 
     /// Checkpoint support: at quiescence buffers are empty, credits are
@@ -61,20 +67,26 @@ private:
         bool routed = false;
         port_dir out = port_dir::local;
         std::uint32_t out_vc = 0;
+        /// Upstream router's credit for this VC (nullptr on the local port
+        /// and at the mesh edge): bumped whenever a flit leaves the buffer.
+        std::uint32_t* credit_return = nullptr;
     };
 
-    struct input_port {
-        std::vector<input_vc> vcs;
-    };
-
-    input_vc& in(port_dir port, std::uint32_t vc)
-    {
-        return inputs_[std::size_t(port)].vcs[vc];
-    }
+    /// Stage a flit into input slot `slot` (visible after the next commit).
+    void stage(std::size_t slot, const flit& f);
 
     router_config config_;
     coord position_;
-    std::array<input_port, port_count> inputs_;
+    std::size_t index_;  ///< position in the mesh's router vector
+    mesh_network* mesh_; ///< owner: network-wide flit/ejection counts
+    /// Downstream router of each output port (nullptr for local and at the
+    /// mesh edge).
+    std::array<vc_router*, port_count> links_{};
+    /// Input VCs, port-major: slot p * virtual_channels + v. Switch
+    /// allocation's round-robin walks this order.
+    std::vector<input_vc> inputs_;
+    std::uint64_t occupied_ = 0; ///< bit s: inputs_[s] holds a flit
+    std::uint64_t staged_ = 0;   ///< bit s: inputs_[s] has a staged push
     // Downstream credits per output port per VC (free buffer slots).
     std::array<std::vector<std::uint32_t>, port_count> credits_;
     // Output VC ownership for wormhole: encoded input (port * V + vc), -1 free.
@@ -92,9 +104,16 @@ private:
 
 /// A width x height mesh of vc_routers with neighbour wiring. Call step()
 /// once per cycle; flits staged this cycle are visible next cycle.
+///
+/// Event-driven: each router keeps a mask of its occupied input VCs and the
+/// mesh counts the flits in flight and in ejection queues, so a step visits
+/// only occupied routers and VCs, and quiescent() is O(1). Routers point at
+/// each other and at the mesh, so a mesh is neither copied nor moved.
 class mesh_network {
 public:
     mesh_network(const router_config& config, int width, int height);
+    mesh_network(const mesh_network&) = delete;
+    mesh_network& operator=(const mesh_network&) = delete;
 
     int width() const { return width_; }
     int height() const { return height_; }
@@ -102,14 +121,21 @@ public:
     vc_router& at(coord c) { return routers_[index(c)]; }
     const vc_router& at(coord c) const { return routers_[index(c)]; }
 
-    /// Advance every router one cycle.
+    /// Advance every router that holds flits by one cycle.
     void step(cycle_t now);
+
+    /// Visit the routers with ejected flits waiting, in ascending router
+    /// index (row-major) order; `fn(vc_router&)` may eject from its router.
+    template <class Fn> void for_each_ejecting(Fn&& fn)
+    {
+        ejecting_.for_each([&](std::size_t i) { fn(routers_[i]); });
+    }
 
     /// Total flit-hops performed (energy model input).
     std::uint64_t flit_hops() const { return flit_hops_; }
     std::uint64_t router_traversals() const { return flit_hops_; }
 
-    bool quiescent() const;
+    bool quiescent() const { return flits_ == 0 && ejected_ == 0; }
 
     /// Cheap summary of buffer/ejection occupancy across all routers
     /// (paranoid-mode state digests; see sim/ticked.h).
@@ -128,6 +154,8 @@ public:
     }
 
 private:
+    friend class vc_router;
+
     std::size_t index(coord c) const
     {
         return std::size_t(c.y) * std::size_t(width_) + std::size_t(c.x);
@@ -141,10 +169,17 @@ private:
     static coord neighbour(coord c, port_dir d);
     static port_dir opposite(port_dir d);
 
+    void allocate_vcs(vc_router& r);
+    void traverse(vc_router& r, std::size_t first_slot);
+
     router_config config_;
     int width_;
     int height_;
     std::vector<vc_router> routers_;
+    std::uint64_t flits_ = 0;    ///< flits in every router's input buffers
+    std::uint64_t ejected_ = 0;  ///< flits in every router's ejection queue
+    index_set occupied_routers_; ///< routers holding flits in input buffers
+    index_set ejecting_;         ///< routers whose ejection queue is non-empty
     std::uint64_t flit_hops_ = 0;
 };
 

@@ -1,7 +1,8 @@
 // Unit tests for the common foundation: rng, statistics, histogram,
-// tables, CLI parsing, and the type helpers.
+// index sets, tables, CLI parsing, and the type helpers.
 #include "src/common/cli.h"
 #include "src/common/histogram.h"
+#include "src/common/index_set.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
@@ -11,6 +12,7 @@
 
 #include <array>
 #include <cmath>
+#include <vector>
 
 namespace lnuca {
 namespace {
@@ -259,6 +261,41 @@ TEST(cli, string_and_double)
     EXPECT_EQ(args.get_string("name", "x"), "mcf");
     EXPECT_DOUBLE_EQ(args.get_double("ratio", 0), 1.5);
     EXPECT_EQ(args.get_string("other", "fallback"), "fallback");
+}
+
+TEST(index_set, visits_members_in_ascending_order)
+{
+    index_set set(130);
+    for (const std::size_t i : {129u, 3u, 64u, 0u, 63u, 65u})
+        set.insert(i);
+    set.erase(63);
+    std::vector<std::size_t> seen;
+    set.for_each([&](std::size_t i) { seen.push_back(i); });
+    EXPECT_EQ(seen, (std::vector<std::size_t>{0, 3, 64, 65, 129}));
+}
+
+TEST(index_set, mutation_during_a_pass)
+{
+    // The event-driven D-NUCA relies on these rules: erasing the visited
+    // member is safe, an insertion into the word being visited (or an
+    // earlier one) waits for the next pass, one into a later word is seen.
+    index_set set(128);
+    set.insert(5);
+    set.insert(10);
+    std::vector<std::size_t> seen;
+    set.for_each([&](std::size_t i) {
+        seen.push_back(i);
+        set.erase(i);
+        if (i == 5) {
+            set.insert(7);  // same word, above: next pass
+            set.insert(2);  // same word, below: next pass
+            set.insert(70); // later word: this pass
+        }
+    });
+    EXPECT_EQ(seen, (std::vector<std::size_t>{5, 10, 70}));
+    seen.clear();
+    set.for_each([&](std::size_t i) { seen.push_back(i); });
+    EXPECT_EQ(seen, (std::vector<std::size_t>{2, 7}));
 }
 
 } // namespace

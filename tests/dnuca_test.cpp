@@ -1,5 +1,6 @@
 // D-NUCA baseline: mapping, multicast search, promotion, tail insertion,
 // write handling and the controller protocol.
+#include "src/common/rng.h"
 #include "src/dnuca/dnuca_cache.h"
 #include "src/sim/engine.h"
 
@@ -37,6 +38,8 @@ struct stub_memory final : sim::ticked, mem::mem_port {
                 client->respond(resp);
         }
     }
+    cycle_t next_event(cycle_t) const override { return pending_.next_ready(); }
+    std::uint64_t state_digest() const override { return pending_.size(); }
     int accepted = 0;
     int writebacks = 0;
     mem::mem_client* client = nullptr;
@@ -253,6 +256,51 @@ TEST_F(dnuca_fixture, row_hit_statistics_accumulate)
     for (unsigned row = 1; row <= config.rows; ++row)
         total += cache->hits_in_row(row);
     EXPECT_EQ(total, 1u);
+}
+
+TEST_F(dnuca_fixture, paranoid_engine_holds_bank_and_ejection_bounds)
+{
+    // Paranoid stepping ticks every cycle and throws if one the cache's
+    // next_event() declared idle changes its state. Hits in the far rows
+    // promote (migrate flits outlive their request), and the other banks'
+    // nacks are still in flight or inside a bank array after a data reply
+    // retires its request: those cycles are bounded only by the busy-bank
+    // set and the mesh's ejection count.
+    build();
+    engine.set_mode(sim::schedule_mode::paranoid);
+    const auto block_at = [](std::uint64_t line, unsigned column) {
+        return addr_t(line * 8 + column) * 128; // 8 columns of 128 B blocks
+    };
+    for (std::uint64_t line = 0; line < 4096; ++line)
+        for (unsigned column = 0; column < 8; ++column)
+            cache->prewarm(block_at(line, column));
+
+    rng random(17);
+    std::size_t issued = 0;
+    while (engine.now() < 6000) {
+        mem::mem_request r;
+        r.id = ids.next();
+        r.size = 8;
+        r.created_at = engine.now();
+        const unsigned column = unsigned(random.below(8));
+        // Mostly hits spread over all four rows, some misses and stores.
+        r.addr = block_at(random.below(random.chance(0.8) ? 4096 : 65536),
+                          column);
+        if (random.chance(0.2)) {
+            r.kind = mem::access_kind::write;
+            r.needs_response = false;
+        }
+        if (cache->can_accept(r)) {
+            cache->accept(r);
+            ++issued;
+        }
+        EXPECT_NO_THROW(engine.run(1 + random.below(80)));
+    }
+    EXPECT_NO_THROW(engine.run(2000)); // drain
+    EXPECT_TRUE(cache->quiescent());
+    EXPECT_GT(issued, 100u);
+    EXPECT_GT(cache->counters().get("promotions"), 0u);
+    EXPECT_GT(engine.cycles_skipped(), 0u);
 }
 
 } // namespace

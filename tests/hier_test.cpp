@@ -242,6 +242,28 @@ TEST(engine_modes, paranoid_cross_check_passes_on_every_hierarchy_kind)
     }
 }
 
+TEST(engine_modes, paranoid_holds_the_dnuca_bank_and_ejection_bounds)
+{
+    // The D-NUCA's next_event() reads only its busy-bank set and the mesh's
+    // O(1) flit and ejection counts. Paranoid stepping ticks every cycle and
+    // throws if one that bound would have let the engine skip changes any
+    // component's state, so a bank or ejection queue the bound overlooks
+    // fails here. Memory-bound and cache-friendly proxies cover both long
+    // quiet stretches and busy promotion traffic.
+    for (const system_config& base :
+         {presets::dnuca_4x8(), presets::lnuca_dnuca(3)}) {
+        for (const char* name : {"429.mcf", "456.hmmer"}) {
+            system_config config = base;
+            config.engine_mode = sim::schedule_mode::paranoid;
+            system sys(config, *wl::find_spec2006(name), 5);
+            EXPECT_NO_THROW(sys.run(3000, 600)) << config.name << " " << name;
+            EXPECT_GT(sys.engine().now(), 3000u) << config.name << " " << name;
+            EXPECT_GT(sys.engine().cycles_skipped(), 0u)
+                << config.name << " " << name;
+        }
+    }
+}
+
 TEST(engine_modes, idle_skip_actually_skips_on_a_conventional_hierarchy)
 {
     // The refactor's point: a memory-bound run on the conventional

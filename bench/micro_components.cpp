@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks: raw throughput of the simulator's
-// building blocks (tag array, MSHR file, fabric cycle, mesh cycle, branch
-// predictor, workload generation) and of whole-system simulation.
+// building blocks (tag array, MSHR file, fabric cycle, mesh cycle, core
+// issue, branch predictor, workload generation) and of whole-system
+// simulation.
 #include "src/lnuca.h"
 
 #include <benchmark/benchmark.h>
@@ -102,6 +103,32 @@ void bm_mesh_idle_cycle(benchmark::State& state)
     }
 }
 BENCHMARK(bm_mesh_idle_cycle);
+
+void bm_core_issue(benchmark::State& state)
+{
+    // One tick of an INT-saturated core: a full 128-entry ROB of mostly
+    // ready, independent INT ops, more than the 4 INT/MEM slots can take,
+    // and no FP op, so the FP slots never fill. An 8-wide front end and an
+    // INT window as large as the ROB keep it there in steady state; the
+    // issue widths are the paper's.
+    struct alu_stream final : cpu::instruction_stream {
+        cpu::instruction next() override { return {}; }
+    } stream;
+    cpu::core_config config;
+    config.fetch_width = 8;
+    config.dispatch_width = 8;
+    config.int_window = config.rob_size;
+    mem::txn_id_source ids;
+    cpu::ooo_core core(config, stream, ids);
+    cycle_t now = 0;
+    while (now < 1000)
+        core.tick(now++);
+    const std::uint64_t warm = core.committed();
+    for (auto _ : state)
+        core.tick(now++);
+    state.SetItemsProcessed(std::int64_t(core.committed() - warm));
+}
+BENCHMARK(bm_core_issue);
 
 void bm_system_simulation(benchmark::State& state)
 {

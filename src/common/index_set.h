@@ -1,9 +1,10 @@
 // Set of small non-negative indices, visited in ascending order.
 //
-// The event-driven components (the D-NUCA mesh and its banks) keep one of
-// these to remember which of their elements hold work, so a cycle visits
-// only those elements - in the same ascending order a full scan would, which
-// keeps results independent of how the work set is represented.
+// The event-driven components (the D-NUCA mesh and its banks, the core's
+// issue scheduler) keep one of these to remember which of their elements
+// hold work, so a cycle visits only those elements - in the same order a
+// full scan would, which keeps results independent of how the work set is
+// represented.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +32,34 @@ public:
         for (std::size_t w = 0; w < words_.size(); ++w)
             for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
                 fn(w * 64 + std::size_t(__builtin_ctzll(bits)));
+    }
+
+    /// Call `fn(i)` for each member in rotated order - ascending over
+    /// [start, capacity), then ascending over [0, start) - until `fn`
+    /// returns false. `start` must be below a nonzero capacity. Words are read
+    /// as in for_each(), except that the word holding `start` is read twice:
+    /// for its members from `start` up at the beginning of the pass and for
+    /// those below `start` at its end. Erasing the visited member is safe.
+    template <class Fn> void for_each_from(std::size_t start, Fn&& fn) const
+    {
+        const std::size_t n = words_.size();
+        if (n == 0)
+            return;
+        const std::size_t first = start / 64;
+        const std::uint64_t upper = ~std::uint64_t{0} << (start % 64);
+        for (std::size_t k = 0; k <= n; ++k) {
+            std::size_t w = first + k;
+            if (w >= n)
+                w -= n;
+            std::uint64_t bits = words_[w];
+            if (k == 0)
+                bits &= upper;
+            else if (k == n)
+                bits &= ~upper;
+            for (; bits != 0; bits &= bits - 1)
+                if (!fn(w * 64 + std::size_t(__builtin_ctzll(bits))))
+                    return;
+        }
     }
 
 private:

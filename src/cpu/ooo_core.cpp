@@ -15,6 +15,7 @@ ooo_core::ooo_core(const core_config& config, instruction_stream& stream,
       predictor_(4096, 16, 4096),
       dtlb_(config.tlb_entries, config.page_bytes),
       rob_(config.rob_size),
+      ready_(config.rob_size),
       served_by_level_(8, 0),
       served_by_fabric_level_(16, 0)
 {
@@ -89,7 +90,7 @@ cycle_t ooo_core::next_event(cycle_t now) const
         return now; // commit retires the head
     if (sb_unissued_ > 0 || sb_acked_ > 0)
         return now; // store issues to the L1 / retires from the buffer
-    if (ready_count_ > 0)
+    if (ready_int_mem_ + ready_fp_ > 0)
         return now; // scheduler has an instruction to issue
     cycle_t next = std::min({responses_.next_ready(), completions_.next_ready(),
                              delayed_mem_.next_ready()});
@@ -202,7 +203,7 @@ void ooo_core::process_responses(cycle_t now)
             if (response->fabric_level < served_by_fabric_level_.size())
                 ++served_by_fabric_level_[response->fabric_level];
             counters_.inc(h_loads_completed_);
-            wake_dependents(slot, now);
+            wake_dependents(slot);
             continue;
         }
         // Store acknowledgements retire store-buffer entries.
@@ -258,19 +259,26 @@ void ooo_core::commit(cycle_t now)
     }
 }
 
-void ooo_core::wake_dependents(std::uint32_t slot, cycle_t now)
+void ooo_core::make_ready(std::uint32_t slot)
 {
-    (void)now;
+    rob_[slot].state = entry_state::ready;
+    ready_.insert(slot);
+    if (is_fp(rob_[slot].inst.op))
+        ++ready_fp_;
+    else
+        ++ready_int_mem_;
+}
+
+void ooo_core::wake_dependents(std::uint32_t slot)
+{
     rob_entry& producer = rob_[slot];
     for (const std::uint32_t d : producer.dependents) {
         rob_entry& dep = rob_[d];
         // Slots recycle; confirm this is still a live dependent.
         if (dep.state != entry_state::waiting || dep.deps == 0)
             continue;
-        if (--dep.deps == 0) {
-            dep.state = entry_state::ready;
-            ++ready_count_;
-        }
+        if (--dep.deps == 0)
+            make_ready(d);
     }
     producer.dependents.clear();
 }
@@ -286,7 +294,7 @@ void ooo_core::writeback(cycle_t now)
             release_window(entry);
             entry.in_window = false;
         }
-        wake_dependents(*slot, now);
+        wake_dependents(*slot);
         if (entry.inst.op == op_class::branch && entry.mispredicted &&
             fetch_blocked_ && entry.seq == fetch_block_seq_) {
             fetch_blocked_ = false;
@@ -363,34 +371,40 @@ bool ooo_core::store_forwards(const instruction& load) const
 
 void ooo_core::issue(cycle_t now)
 {
-    if (ready_count_ == 0)
-        return; // nothing to scan: the ROB walk below is the core's hottest loop
+    if (ready_int_mem_ + ready_fp_ == 0)
+        return;
     unsigned int_mem_issued = 0;
     unsigned fp_issued = 0;
-    // Visit ready entries oldest-first and stop as soon as every entry that
-    // was ready at scan start has been seen - the tail of a mostly-stalled
-    // ROB never gets walked.
-    unsigned remaining = ready_count_;
-    for (std::uint32_t n = 0; remaining > 0 && n < rob_count_; ++n) {
-        if (int_mem_issued >= config_.int_mem_issue_width &&
-            fp_issued >= config_.fp_issue_width)
-            break;
-        const std::uint32_t slot = std::uint32_t((rob_head_ + n) % rob_.size());
+    // Ready entries of each class not visited yet.
+    unsigned int_mem_left = ready_int_mem_;
+    unsigned fp_left = ready_fp_;
+    // Visit ready entries oldest-first. Every ready slot lies in the live
+    // window [head, head + count) of the circular ROB, so the set's rotated
+    // pass from the head is exactly the age order of a walk from the head.
+    // Nothing below makes another entry ready, so the pass sees every entry
+    // that was ready when it started. It ends as soon as no class has both
+    // a free slot and an unvisited ready entry: a full walk would issue
+    // nothing more.
+    ready_.for_each_from(rob_head_, [&](std::size_t i) {
+        const auto slot = std::uint32_t(i);
         rob_entry& entry = rob_[slot];
-        if (entry.state != entry_state::ready)
-            continue;
-        --remaining;
-
         const bool fp = is_fp(entry.inst.op);
         if (fp) {
+            --fp_left;
             if (fp_issued >= config_.fp_issue_width)
-                continue;
-        } else if (int_mem_issued >= config_.int_mem_issue_width) {
-            continue;
+                return int_mem_left > 0; // only INT/MEM may still issue
+        } else {
+            --int_mem_left;
+            if (int_mem_issued >= config_.int_mem_issue_width)
+                return fp_left > 0; // only FP may still issue
         }
 
         entry.state = entry_state::issued;
-        --ready_count_;
+        ready_.erase(slot);
+        if (fp)
+            --ready_fp_;
+        else
+            --ready_int_mem_;
         entry.issued_at = now;
 
         switch (entry.inst.op) {
@@ -431,7 +445,31 @@ void ooo_core::issue(cycle_t now)
             ++fp_issued;
         else
             ++int_mem_issued;
+        return (int_mem_issued < config_.int_mem_issue_width &&
+                int_mem_left > 0) ||
+               (fp_issued < config_.fp_issue_width && fp_left > 0);
+    });
+}
+
+std::vector<std::uint64_t> ooo_core::ready_seqs() const
+{
+    std::vector<std::uint64_t> seqs;
+    ready_.for_each_from(rob_head_, [&](std::size_t slot) {
+        seqs.push_back(rob_[slot].seq);
+        return true;
+    });
+    return seqs;
+}
+
+std::vector<std::uint64_t> ooo_core::scan_ready_seqs() const
+{
+    std::vector<std::uint64_t> seqs;
+    for (std::uint32_t n = 0; n < rob_.size(); ++n) {
+        const rob_entry& entry = rob_[(rob_head_ + n) % rob_.size()];
+        if (entry.state == entry_state::ready)
+            seqs.push_back(entry.seq);
     }
+    return seqs;
 }
 
 void ooo_core::dispatch(cycle_t now)
@@ -494,9 +532,8 @@ void ooo_core::dispatch(cycle_t now)
             producer.dependents.push_back(slot);
             ++entry.deps;
         }
-        entry.state = entry.deps == 0 ? entry_state::ready : entry_state::waiting;
-        if (entry.state == entry_state::ready)
-            ++ready_count_;
+        if (entry.deps == 0)
+            make_ready(slot);
 
         if (item.mispredicted)
             fetch_block_seq_ = entry.seq;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include "src/common/histogram.h"
+#include "src/common/index_set.h"
 #include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/cpu/branch_predictor.h"
@@ -102,6 +103,12 @@ public:
     cycle_t next_event(cycle_t now) const override;
     std::uint64_t state_digest() const override;
 
+    /// Test hooks: sequence numbers (1-based stream positions) of the ready
+    /// ROB entries, in the order issue() visits the ready set, and in the
+    /// order a full ROB walk from the head finds them. Always equal.
+    std::vector<std::uint64_t> ready_seqs() const;
+    std::vector<std::uint64_t> scan_ready_seqs() const;
+
     std::uint64_t committed() const { return committed_; }
     /// Cycles elapsed since the last reset_stats(), measured in engine time
     /// as of this core's most recent tick. Identical under dense and
@@ -187,7 +194,8 @@ private:
     void fetch(cycle_t now);
     void drain_store_buffer(cycle_t now);
     void start_load_access(std::uint32_t slot, cycle_t now);
-    void wake_dependents(std::uint32_t slot, cycle_t now);
+    void make_ready(std::uint32_t slot);
+    void wake_dependents(std::uint32_t slot);
     void release_window(const rob_entry& entry);
     bool dispatch_capacity(const instruction& inst) const;
     unsigned latency_of(op_class op) const;
@@ -224,9 +232,16 @@ private:
     unsigned mem_used_ = 0;
     unsigned lsq_used_ = 0;
 
-    // O(1) next_event() probes, maintained at state transitions: entries in
-    // entry_state::ready, and store-buffer entries awaiting issue / retire.
-    unsigned ready_count_ = 0;
+    // ROB slots in entry_state::ready, maintained at the three transitions
+    // into and out of it (dispatch, wake_dependents, issue), and how many
+    // of them go to each issue class. issue() visits only these slots; the
+    // counts let it stop once no class with a free slot has ready entries
+    // left, and are the O(1) next_event() probe.
+    index_set ready_;
+    unsigned ready_int_mem_ = 0;
+    unsigned ready_fp_ = 0;
+    // O(1) next_event() probes for store-buffer entries awaiting issue /
+    // retire.
     unsigned sb_unissued_ = 0;
     unsigned sb_acked_ = 0;
 

@@ -640,12 +640,11 @@ void lnuca_cache::evaluate_tile(cycle_t now, tile_index i)
 
     // --- Replacement operation: only during search-idle cycles ----------
     if (!had_search)
-        run_replacement(now, i);
+        run_replacement(i);
 }
 
-void lnuca_cache::run_replacement(cycle_t now, tile_index i)
+void lnuca_cache::run_replacement(tile_index i)
 {
-    (void)now;
     tile& t = tiles_[i];
 
     if (t.phase == tile::repl_phase::write_pending) {

@@ -175,7 +175,7 @@ private:
     void process_root_arrivals(cycle_t now);
     void inject_searches(cycle_t now);
     void evaluate_tile(cycle_t now, tile_index i);
-    void run_replacement(cycle_t now, tile_index i);
+    void run_replacement(tile_index i);
     void inject_evictions(cycle_t now);
     void evaluate_global_misses(cycle_t now);
     void drain_downstream_queues(cycle_t now);

@@ -298,5 +298,86 @@ TEST(index_set, mutation_during_a_pass)
     EXPECT_EQ(seen, (std::vector<std::size_t>{2, 7}));
 }
 
+std::vector<std::size_t> rotated(const index_set& set, std::size_t start,
+                                 std::size_t limit = ~std::size_t{0})
+{
+    std::vector<std::size_t> seen;
+    set.for_each_from(start, [&](std::size_t i) {
+        seen.push_back(i);
+        return seen.size() < limit;
+    });
+    return seen;
+}
+
+TEST(index_set, for_each_from_wraps_in_rotated_order)
+{
+    index_set set(128);
+    for (const std::size_t i : {0u, 5u, 63u, 64u, 100u, 127u})
+        set.insert(i);
+    // Word boundaries as starts: [start, 128) ascending, then [0, start).
+    EXPECT_EQ(rotated(set, 0),
+              (std::vector<std::size_t>{0, 5, 63, 64, 100, 127}));
+    EXPECT_EQ(rotated(set, 64),
+              (std::vector<std::size_t>{64, 100, 127, 0, 5, 63}));
+    EXPECT_EQ(rotated(set, 127),
+              (std::vector<std::size_t>{127, 0, 5, 63, 64, 100}));
+}
+
+TEST(index_set, for_each_from_starts_inside_a_word)
+{
+    // The start word is split: its members from `start` up come first and
+    // those below `start` last, after every other word.
+    index_set set(128);
+    for (const std::size_t i : {2u, 9u, 10u, 40u, 70u, 120u})
+        set.insert(i);
+    EXPECT_EQ(rotated(set, 10),
+              (std::vector<std::size_t>{10, 40, 70, 120, 2, 9}));
+    EXPECT_EQ(rotated(set, 71),
+              (std::vector<std::size_t>{120, 2, 9, 10, 40, 70}));
+    // Erasing the visited member, as the issue scheduler does, is safe and
+    // does not disturb the lower part of the split word.
+    std::vector<std::size_t> seen;
+    set.for_each_from(9, [&](std::size_t i) {
+        seen.push_back(i);
+        set.erase(i);
+        return true;
+    });
+    EXPECT_EQ(seen, (std::vector<std::size_t>{9, 10, 40, 70, 120, 2}));
+    EXPECT_TRUE(rotated(set, 0).empty());
+}
+
+TEST(index_set, for_each_from_stops_when_fn_returns_false)
+{
+    index_set set(128);
+    for (const std::size_t i : {1u, 30u, 65u, 90u})
+        set.insert(i);
+    EXPECT_EQ(rotated(set, 65, 3), (std::vector<std::size_t>{65, 90, 1}));
+    EXPECT_EQ(rotated(set, 31, 1), (std::vector<std::size_t>{65}));
+    index_set(0).for_each_from(0, [](std::size_t) {
+        ADD_FAILURE() << "a zero-capacity set has no members";
+        return true;
+    });
+}
+
+TEST(index_set, for_each_from_with_a_partial_last_word)
+{
+    // 100 indices: the second word holds only 36 of them.
+    index_set set(100);
+    for (const std::size_t i : {3u, 63u, 64u, 99u})
+        set.insert(i);
+    EXPECT_EQ(rotated(set, 99), (std::vector<std::size_t>{99, 3, 63, 64}));
+    EXPECT_EQ(rotated(set, 70), (std::vector<std::size_t>{99, 3, 63, 64}));
+    EXPECT_EQ(rotated(set, 50), (std::vector<std::size_t>{63, 64, 99, 3}));
+    // Every start visits every member exactly once, in rotated order.
+    for (std::size_t start = 0; start < 100; ++start) {
+        const auto seen = rotated(set, start);
+        ASSERT_EQ(seen.size(), 4u) << start;
+        for (std::size_t k = 1; k < seen.size(); ++k)
+            EXPECT_LT((seen[k - 1] + 100 - start) % 100,
+                      (seen[k] + 100 - start) % 100)
+                << start;
+    }
+}
+
 } // namespace
 } // namespace lnuca

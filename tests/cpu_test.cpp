@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 namespace lnuca::cpu {
 namespace {
 
@@ -95,15 +97,33 @@ struct pattern_stream final : instruction_stream {
     }
 };
 
-/// Instant L1: every access hits with a fixed latency.
+/// Instant L1: every access hits with a fixed latency. `capacity` bounds
+/// the accesses in flight (a full cache refuses, forcing port retries), and
+/// the accepted-request stream is folded into `accepted_digest` in order.
 struct instant_cache final : sim::ticked, mem::mem_port {
     explicit instant_cache(cycle_t latency) : latency_(latency) {}
-    bool can_accept(const mem::mem_request&) const override { return true; }
+    bool can_accept(const mem::mem_request&) const override
+    {
+        return pending_.size() < capacity;
+    }
     void accept(const mem::mem_request& r) override
     {
         ++accepted;
+        accepted_digest.mix(r.id);
+        accepted_digest.mix(r.addr);
+        accepted_digest.mix(std::uint64_t(r.kind));
+        accepted_digest.mix(r.created_at);
         if (r.needs_response)
             pending_.push(r.created_at + latency_ - 1, r);
+    }
+    cycle_t next_event(cycle_t) const override { return pending_.next_ready(); }
+    std::uint64_t state_digest() const override
+    {
+        sim::state_hash h;
+        h.mix(accepted_digest.value());
+        h.mix(pending_.size());
+        h.mix(pending_.next_ready());
+        return h.value();
     }
     void tick(cycle_t now) override
     {
@@ -118,7 +138,9 @@ struct instant_cache final : sim::ticked, mem::mem_port {
         }
     }
     cycle_t latency_;
+    std::size_t capacity = ~std::size_t{0};
     int accepted = 0;
+    sim::state_hash accepted_digest;
     mem::mem_client* client = nullptr;
     sim::timed_queue<mem::mem_request> pending_;
 };
@@ -332,6 +354,161 @@ TEST_F(core_fixture, loads_served_accounting)
     s.pattern = {ld, alu(), alu(), alu()};
     run_ipc(s, 8000);
     EXPECT_GT(core->loads_served_by(mem::service_level::l1), 0u);
+}
+
+// ---- Issue scheduler ------------------------------------------------------
+
+/// Seeded random instruction mix: `fp_share` FP ops, `mem_share` loads and
+/// stores, the rest INT ALU/multiply ops and branches. Operands chain to
+/// recent producers (short dependency chains), to an anchor load (about
+/// every fifth load; its return wakes a burst of INT and FP consumers) and
+/// occasionally to far producers, so the ROB holds ready, waiting and
+/// in-flight entries side by side. Addresses mix a few hot lines
+/// (store-to-load forwarding) with a spread over 512 pages (DTLB misses);
+/// a minority of branches is unpredictable. `ops[seq - 1]` is the class of
+/// the instruction the core numbers `seq`.
+struct mixed_stream final : instruction_stream {
+    mixed_stream(std::uint64_t seed, double fp_share, double mem_share)
+        : random(seed), fp_share(fp_share), mem_share(mem_share)
+    {
+    }
+
+    instruction next() override
+    {
+        instruction i;
+        const double r = random.uniform();
+        if (r < mem_share) {
+            i.op = random.chance(0.7) ? op_class::load : op_class::store;
+            i.addr = random.chance(0.3)
+                         ? 0x10000 + 8 * random.below(16)
+                         : random.below(512) * 8192 + 8 * random.below(1024);
+        } else if (r < mem_share + fp_share) {
+            const double k = random.uniform();
+            i.op = k < 0.5 ? op_class::fp_add
+                           : k < 0.9 ? op_class::fp_mul : op_class::fp_div;
+        } else {
+            const double k = random.uniform();
+            i.op = k < 0.7 ? op_class::int_alu
+                           : k < 0.85 ? op_class::int_mul : op_class::branch;
+            if (i.op == op_class::branch) {
+                i.pc = 0x400000 + 4 * random.below(64);
+                i.taken = random.chance(0.9);
+            }
+        }
+        const std::uint64_t since_load = ops.size() - last_load;
+        if (last_load != 0 && since_load <= 48 && random.chance(0.8))
+            i.dep[0] = std::uint32_t(since_load);
+        else if (random.chance(0.4))
+            i.dep[0] = std::uint32_t(1 + random.below(6));
+        if (random.chance(0.2))
+            i.dep[1] = std::uint32_t(1 + random.below(40));
+        ops.push_back(i.op);
+        if (i.op == op_class::load && random.chance(0.2))
+            last_load = ops.size();
+        return i;
+    }
+
+    std::vector<op_class> ops; ///< every instruction handed out, in order
+    std::uint64_t last_load = 0; ///< 1-based position of the anchor load
+    rng random;
+    double fp_share;
+    double mem_share;
+};
+
+TEST(issue_scheduler, golden_issue_order_and_ready_set)
+{
+    // Dense stepping, one cycle at a time: the core's state digest after
+    // every tick, the order of every request it sends to the L1 (txn ids
+    // follow issue order) and the final counters, for a full 128-entry ROB,
+    // one whose last ready-set word is partial (100) and a one-word one
+    // (64). The values were captured with the full oldest-first ROB walk
+    // the ready set replaced. After every tick the ready set must also
+    // equal a full ROB scan for ready entries, in the same order.
+    const std::initializer_list<std::pair<unsigned, std::uint64_t>> golden = {
+        {128, 0x735c36609fd6b83cull},
+        {100, 0x4bfd9679e4ac0af1ull},
+        {64, 0x725191ce9786a7c1ull}};
+    for (const auto& [rob_size, expected] : golden) {
+        SCOPED_TRACE(rob_size);
+        core_config config;
+        config.rob_size = rob_size;
+        mixed_stream stream(0x5eed + rob_size, 0.4, 0.15);
+        mem::txn_id_source ids;
+        ooo_core core(config, stream, ids);
+        instant_cache dcache(12);
+        dcache.capacity = 6;
+        core.set_dcache(&dcache);
+        dcache.client = &core;
+        sim::engine engine;
+        engine.add(core);
+        engine.add(dcache);
+        const std::uint64_t instructions = 30000;
+        core.set_instruction_limit(instructions);
+
+        sim::state_hash h;
+        std::uint64_t saturated_cycles = 0; // both classes past their width
+        std::uint64_t mismatched_cycles = 0;
+        while (!core.done() && engine.now() < 400 * instructions) {
+            engine.run(1);
+            h.mix(core.state_digest());
+            const auto ready = core.ready_seqs();
+            if (ready != core.scan_ready_seqs())
+                ++mismatched_cycles;
+            unsigned fp_ready = 0;
+            for (const std::uint64_t seq : ready)
+                fp_ready += is_fp(stream.ops[seq - 1]) ? 1 : 0;
+            if (fp_ready > config.fp_issue_width &&
+                ready.size() - fp_ready > config.int_mem_issue_width)
+                ++saturated_cycles;
+        }
+        ASSERT_TRUE(core.done());
+        EXPECT_EQ(mismatched_cycles, 0u);
+        h.mix(core.committed());
+        h.mix(core.cycles());
+        h.mix(core.counters().digest());
+        h.mix(core.dtlb().misses());
+        h.mix(core.loads_served_by(mem::service_level::l1));
+        h.mix(dcache.accepted_digest.value());
+
+        // The stream exercises what it is meant to.
+        EXPECT_GT(saturated_cycles, 20u);
+        EXPECT_GT(core.counters().get("dtlb_misses"), 100u);
+        EXPECT_GT(core.counters().get("l1_port_retry"), 0u);
+        EXPECT_GT(core.counters().get("store_forwards"), 20u);
+        EXPECT_GT(core.counters().get("branch_mispredicts"), 100u);
+        EXPECT_GT(core.committed() / rob_size, 200u); // ROB wraps
+        EXPECT_EQ(h.value(), expected) << std::hex << h.value();
+    }
+}
+
+TEST(issue_scheduler, paranoid_engine_holds_on_bare_core)
+{
+    // Paranoid stepping throws if a cycle the core's (or the stub L1's)
+    // next_event() declared idle changes its state. The ready count is the
+    // scheduler's next_event() probe, so it must track the ready set. An
+    // FP-heavy stream and an INT/MEM-only one.
+    for (const double fp_share : {0.6, 0.0}) {
+        SCOPED_TRACE(fp_share);
+        core_config config;
+        config.rob_size = 100;
+        mixed_stream stream(23, fp_share, 0.2);
+        mem::txn_id_source ids;
+        ooo_core core(config, stream, ids);
+        instant_cache dcache(4);
+        core.set_dcache(&dcache);
+        dcache.client = &core;
+        sim::engine engine;
+        engine.set_mode(sim::schedule_mode::paranoid);
+        engine.add(core);
+        engine.add(dcache);
+        core.set_instruction_limit(20000);
+        bool done = false;
+        EXPECT_NO_THROW(done = engine.run_until([&] { return core.done(); },
+                                                8'000'000));
+        EXPECT_TRUE(done);
+        EXPECT_GT(engine.cycles_skipped(), 0u);
+        EXPECT_EQ(core.ready_seqs(), core.scan_ready_seqs());
+    }
 }
 
 } // namespace

@@ -68,6 +68,73 @@ void bm_fabric_idle_cycle(benchmark::State& state)
 }
 BENCHMARK(bm_fabric_idle_cycle)->Arg(2)->Arg(3)->Arg(4);
 
+void bm_fabric_busy_cycle(benchmark::State& state)
+{
+    // One tick of an LN3 fabric under a steady trickle of traffic: every
+    // fourth cycle the r-tile evicts the next of 2048 blocks (16 per tile
+    // set, so replacement dominoes run) and reads back one it evicted at
+    // least 256 evictions earlier (a tile or U-buffer hit that is
+    // transported home). The r-tile owns a block from its read until its
+    // next eviction, as an L1 does. A next level answering reads after 20
+    // cycles catches any block that left through a corner exit.
+    struct next_level final : mem::mem_port {
+        bool can_accept(const mem::mem_request&) const override { return true; }
+        void accept(const mem::mem_request& r) override
+        {
+            if (r.kind != mem::access_kind::read)
+                return;
+            mem::mem_response response;
+            response.id = r.id;
+            response.addr = r.addr;
+            response.ready_at = r.created_at + 20;
+            response.served_by = mem::service_level::l3;
+            client->respond(response);
+        }
+        mem::mem_client* client = nullptr;
+    } next;
+    mem::txn_id_source ids;
+    fabric::fabric_config config;
+    fabric::lnuca_cache fabric(config, ids);
+    next.client = &fabric;
+    fabric.set_downstream(&next);
+
+    constexpr std::uint64_t blocks = 2048;
+    std::uint64_t evicted = 0;
+    std::uint64_t read = 0;
+    cycle_t now = 0;
+    const auto offer = [&](std::uint64_t n, mem::access_kind kind) {
+        mem::mem_request r;
+        r.id = ids.next();
+        r.addr = 0x100000 + (n % blocks) * 32;
+        r.size = 32;
+        r.kind = kind;
+        r.needs_response = kind == mem::access_kind::read;
+        r.dirty = n % 3 == 0;
+        r.created_at = now;
+        if (!fabric.can_accept(r))
+            return false;
+        fabric.accept(r);
+        return true;
+    };
+    const auto cycle = [&] {
+        if (now % 4 == 0) {
+            if (evicted - read < 512 &&
+                offer(evicted, mem::access_kind::writeback))
+                ++evicted;
+            if (evicted - read > 256 && offer(read, mem::access_kind::read))
+                ++read;
+        }
+        fabric.tick(now++);
+    };
+    while (now < 40000)
+        cycle();
+    const std::uint64_t warm = read;
+    for (auto _ : state)
+        cycle();
+    state.SetItemsProcessed(std::int64_t(read - warm));
+}
+BENCHMARK(bm_fabric_busy_cycle);
+
 void bm_mesh_cycle(benchmark::State& state)
 {
     noc::mesh_network mesh({4, 4}, 8, 5);

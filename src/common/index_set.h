@@ -1,12 +1,13 @@
 // Set of small non-negative indices, visited in ascending order.
 //
 // The event-driven components (the D-NUCA mesh and its banks, the core's
-// issue scheduler) keep one of these to remember which of their elements
-// hold work, so a cycle visits only those elements - in the same order a
-// full scan would, which keeps results independent of how the work set is
-// represented.
+// issue scheduler, the L-NUCA fabric's tiles) keep one of these to remember
+// which of their elements hold work, so a cycle visits only those elements -
+// in the same order a full scan would, which keeps results independent of
+// how the work set is represented.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -22,6 +23,13 @@ public:
 
     void insert(std::size_t i) { words_[i / 64] |= bit(i); }
     void erase(std::size_t i) { words_[i / 64] &= ~bit(i); }
+    void clear() { std::fill(words_.begin(), words_.end(), 0); }
+
+    bool empty() const
+    {
+        return std::all_of(words_.begin(), words_.end(),
+                           [](std::uint64_t w) { return w == 0; });
+    }
 
     /// Call `fn(i)` for each member in ascending order. Each 64-index word
     /// is read once, just before its members are visited, so `fn` may erase

@@ -25,6 +25,8 @@ lnuca_cache::lnuca_cache(const fabric_config& config, mem::txn_id_source& ids)
     : config_(config),
       ids_(ids),
       geo_(config.levels),
+      busy_tiles_(geo_.tile_count()),
+      staged_tiles_(geo_.tile_count()),
       mshrs_(config.mshr_entries, config.mshr_secondary),
       search_by_slot_(config.mshr_entries),
       rng_(config.seed),
@@ -305,8 +307,11 @@ void lnuca_cache::tick(cycle_t now)
     process_root_arrivals(now);
     inject_evictions(now);
     inject_searches(now);
-    for (tile_index i = 0; i < tiles_.size(); ++i)
-        evaluate_tile(now, i);
+    // An idle tile's evaluation is a no-op, and what is latched this cycle
+    // stays invisible until commit, so visiting the busy tiles in ascending
+    // order matches the full scan, down to the order of rng_ draws.
+    busy_tiles_.for_each(
+        [&](std::size_t i) { evaluate_tile(now, tile_index(i)); });
     evaluate_global_misses(now);
     drain_downstream_queues(now);
     commit_cycle();
@@ -318,22 +323,12 @@ cycle_t lnuca_cache::next_event(cycle_t now) const
     // every cycle (searches propagate, transport and replacement hop,
     // queues drain), so the fabric is busy until all of it settles.
     if (!inject_queue_.empty() || !evict_queue_.empty() ||
-        !exit_queue_.empty() || !downstream_queue_.empty())
+        !exit_queue_.empty() || !downstream_queue_.empty() ||
+        !busy_tiles_.empty() || !staged_tiles_.empty())
         return now;
     for (const auto& fifo : root_arrivals_)
         if (!fifo.idle())
             return now;
-    for (const tile& t : tiles_) {
-        if (t.ma.has_value() || t.ma_next.has_value() ||
-            t.phase != tile::repl_phase::idle)
-            return now;
-        for (const auto& fifo : t.d_in)
-            if (!fifo.idle())
-                return now;
-        for (const auto& fifo : t.u_in)
-            if (!fifo.idle())
-                return now;
-    }
     // Quiet fabric: the only future work is time-stamped - next-level
     // refills and the miss-line gather of any still-active search (the
     // gather fires on exact cycle equality, so its bound must be included
@@ -453,6 +448,7 @@ void lnuca_cache::inject_searches(cycle_t now)
 
     for (const tile_index child : geo_.root_search_children()) {
         tiles_[child].ma_next = msg;
+        stage(child);
         counters_.inc(h_search_broadcast_hops_);
     }
     counters_.inc(h_searches_injected_);
@@ -500,10 +496,12 @@ bool lnuca_cache::push_transport(cycle_t, tile_index i, const transport_msg& msg
         return false;
     const std::size_t k = candidates[pick_output(n)];
     const link& l = d_out_[i][k];
-    if (l.target == root_index)
+    if (l.target == root_index) {
         root_arrivals_[l.slot].push(msg);
-    else
+    } else {
         tiles_[l.target].d_in[l.slot].push(msg);
+        stage(l.target);
+    }
     used_outputs |= link_mask(1) << k;
     counters_.inc(h_transport_hops_);
     return true;
@@ -571,6 +569,7 @@ void lnuca_cache::evaluate_tile(cycle_t now, tile_index i)
                         marked.marked = true;
                         for (const tile_index child : geo_.search_children(i)) {
                             tiles_[child].ma_next = marked;
+                            stage(child);
                             counters_.inc(h_search_broadcast_hops_);
                         }
                         u_hit = true;
@@ -610,6 +609,7 @@ void lnuca_cache::evaluate_tile(cycle_t now, tile_index i)
                     marked.marked = true;
                     for (const tile_index child : geo_.search_children(i)) {
                         tiles_[child].ma_next = marked;
+                        stage(child);
                         counters_.inc(h_search_broadcast_hops_);
                     }
                     stop_propagation = true; // marked copy already forwarded
@@ -620,6 +620,7 @@ void lnuca_cache::evaluate_tile(cycle_t now, tile_index i)
         if (!stop_propagation) {
             for (const tile_index child : geo_.search_children(i)) {
                 tiles_[child].ma_next = msg;
+                stage(child);
                 counters_.inc(h_search_broadcast_hops_);
             }
         }
@@ -675,17 +676,16 @@ void lnuca_cache::run_replacement(tile_index i)
     // Phase one: pick an incoming victim, make room for it if needed.
     const std::size_t links = t.u_in.size();
     const replace_msg* head = nullptr;
-    std::size_t chosen = 0;
+    std::size_t chosen = t.repl_rotate;
     for (std::size_t n = 0; n < links; ++n) {
-        const std::size_t k = (t.repl_rotate + n) % links;
-        if ((head = t.u_in[k].front()) != nullptr) {
-            chosen = k;
+        if ((head = t.u_in[chosen].front()) != nullptr)
             break;
-        }
+        if (++chosen == links)
+            chosen = 0;
     }
     if (head == nullptr)
         return;
-    t.repl_rotate = (chosen + 1) % std::max<std::size_t>(links, 1);
+    t.repl_rotate = chosen + 1 == links ? 0 : chosen + 1;
 
     const bool room = t.cache.set_has_free_way(head->block) ||
                       t.cache.probe(head->block).has_value();
@@ -712,6 +712,7 @@ void lnuca_cache::run_replacement(tile_index i)
             const link& l = u_out_[i][k];
             tiles_[l.target].u_in[l.slot].push(
                 replace_msg{victim.block_addr, victim.dirty});
+            stage(l.target);
         } else {
             exit_queue_.push_back(replace_msg{victim.block_addr, victim.dirty});
         }
@@ -742,6 +743,7 @@ void lnuca_cache::inject_evictions(cycle_t)
     const std::size_t k = candidates[pick_output(n_candidates)];
     const link& l = root_u_out_[k];
     tiles_[l.target].u_in[l.slot].push(msg);
+    stage(l.target);
     counters_.inc(h_replacement_hops_);
     counters_.inc(h_evictions_injected_);
 }
@@ -911,10 +913,36 @@ void lnuca_cache::drain_downstream_queues(cycle_t now)
 
 void lnuca_cache::commit_cycle()
 {
-    for (auto& t : tiles_)
-        t.commit();
+    // Only staged tiles have anything to commit: a busy tile that was not
+    // latched into has no MA staged (its evaluation consumed the latched
+    // one) and no staged fifo entry.
+    staged_tiles_.for_each([&](std::size_t i) {
+        tiles_[i].commit();
+        busy_tiles_.insert(i);
+    });
+    staged_tiles_.clear();
+    busy_tiles_.for_each([&](std::size_t i) {
+        if (!tiles_[i].holds_work())
+            busy_tiles_.erase(i);
+    });
     for (auto& fifo : root_arrivals_)
         fifo.commit();
+}
+
+std::vector<tile_index> lnuca_cache::busy_tiles() const
+{
+    std::vector<tile_index> out;
+    busy_tiles_.for_each([&](std::size_t i) { out.push_back(tile_index(i)); });
+    return out;
+}
+
+std::vector<tile_index> lnuca_cache::scan_busy_tiles() const
+{
+    std::vector<tile_index> out;
+    for (tile_index i = 0; i < tiles_.size(); ++i)
+        if (tiles_[i].holds_work())
+            out.push_back(i);
+    return out;
 }
 
 void lnuca_cache::respond_to_targets(cycle_t now,
@@ -1082,22 +1110,12 @@ bool lnuca_cache::quiescent() const
     // An empty MSHR slab implies no active searches and no outstanding
     // downstream reads (both live in the per-slot state).
     if (!inject_queue_.empty() || !evict_queue_.empty() || !exit_queue_.empty() ||
-        !downstream_queue_.empty() || !refills_.empty() || !mshrs_.empty())
+        !downstream_queue_.empty() || !refills_.empty() || !mshrs_.empty() ||
+        !busy_tiles_.empty() || !staged_tiles_.empty())
         return false;
     for (const auto& fifo : root_arrivals_)
         if (!fifo.empty())
             return false;
-    for (const auto& t : tiles_) {
-        if (t.ma.has_value() || t.ma_next.has_value() ||
-            t.phase != tile::repl_phase::idle)
-            return false;
-        for (const auto& fifo : t.d_in)
-            if (!fifo.empty())
-                return false;
-        for (const auto& fifo : t.u_in)
-            if (!fifo.empty())
-                return false;
-    }
     return true;
 }
 
@@ -1114,6 +1132,9 @@ void lnuca_cache::load_state(ckpt::reader& r)
 {
     ckpt::loader ar(r);
     serialize(ar);
+    // A checkpoint is taken at quiescence, when no tile holds work.
+    busy_tiles_.clear();
+    staged_tiles_.clear();
 }
 
 } // namespace lnuca::fabric

@@ -22,9 +22,12 @@
 // Hot-path storage contract: per-search state lives in a slab slot shared
 // with the MSHR entry (no hash-map node churn), link-arbitration scratch is
 // a bitmask plus a stack array, and every queue is a pre-sized ring — an
-// executed cycle performs no heap allocation in steady state.
+// executed cycle performs no heap allocation in steady state. A cycle
+// evaluates and commits only the tiles that hold or receive work, tracked
+// in two index_sets sized at construction.
 #pragma once
 
+#include "src/common/index_set.h"
 #include "src/common/ring_queue.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -94,9 +97,14 @@ public:
     /// Total data storage in tiles (for reports): tiles * tile size.
     std::uint64_t tile_capacity_bytes() const;
 
-    /// Tile introspection for tests/examples.
+    /// Tile introspection for tests/examples. Read-only: a tile latched
+    /// from outside the fabric would hold work the busy-tile set misses.
     const tile& tile_at(tile_index i) const { return tiles_[i]; }
-    tile& tile_at(tile_index i) { return tiles_[i]; }
+
+    /// Test hooks: the tiles the next tick evaluates, ascending, and the
+    /// same set recomputed by scanning every tile. Equal between ticks.
+    std::vector<tile_index> busy_tiles() const;
+    std::vector<tile_index> scan_busy_tiles() const;
 
     /// True iff `block` currently lives in exactly `copies` places across
     /// all tiles and in-flight buffers (exclusion checker for tests).
@@ -180,6 +188,7 @@ private:
     void evaluate_global_misses(cycle_t now);
     void drain_downstream_queues(cycle_t now);
     void commit_cycle();
+    void stage(tile_index i) { staged_tiles_.insert(i); }
     bool push_transport(cycle_t now, tile_index i, const transport_msg& msg,
                         link_mask& used_outputs);
     bool any_transport_output_free(tile_index i, link_mask used_outputs) const;
@@ -204,6 +213,12 @@ private:
     mem::txn_id_source& ids_;
     geometry geo_;
     std::vector<tile> tiles_;
+    /// Tiles holding committed work (tile::holds_work()); tick() evaluates
+    /// only these, in ascending order, as the full scan did.
+    index_set busy_tiles_;
+    /// Tiles latched into this cycle (MA register or a link-buffer push);
+    /// commit_cycle() commits only these and moves them into busy_tiles_.
+    index_set staged_tiles_;
     mem::mshr_file mshrs_;
     std::vector<search_state> search_by_slot_; ///< parallel to the MSHR slab
     counter_set counters_;

@@ -7,6 +7,7 @@
 // topology.
 #pragma once
 
+#include "src/ckpt/format.h"
 #include "src/common/stats.h"
 #include "src/fabric/messages.h"
 #include "src/mem/tag_array.h"
@@ -37,8 +38,9 @@ public:
     {
     }
 
-    /// Latch the staged MA register and commit all link buffers; called once
-    /// per fabric cycle after every tile has been evaluated.
+    /// Latch the staged MA register and commit all link buffers; the fabric
+    /// calls it at the end of a cycle, after every busy tile has been
+    /// evaluated, for each tile latched into during that cycle.
     void commit()
     {
         ma = ma_next;
@@ -47,6 +49,22 @@ public:
             fifo.commit();
         for (auto& fifo : u_in)
             fifo.commit();
+    }
+
+    /// Committed work the next evaluation acts on: a latched search, a
+    /// visible link-buffer entry or a pending replacement install. A tile
+    /// without any is a no-op to evaluate; staged entries wait for commit().
+    bool holds_work() const
+    {
+        if (ma.has_value() || phase != repl_phase::idle)
+            return true;
+        for (const auto& fifo : d_in)
+            if (!fifo.empty())
+                return true;
+        for (const auto& fifo : u_in)
+            if (!fifo.empty())
+                return true;
+        return false;
     }
 
     /// Search for `block` among in-transit replacement blocks (the U-buffer
@@ -83,6 +101,9 @@ public:
         cache.serialize(ar);
         std::uint64_t rotate = repl_rotate;
         ar(rotate);
+        // The replacement pass indexes u_in from this pointer unchecked.
+        if (rotate != 0 && rotate >= u_in.size())
+            throw ckpt::ckpt_error("tile replacement pointer out of range");
         repl_rotate = std::size_t(rotate);
     }
 };

@@ -10,12 +10,15 @@
 // reference run is the *same command with checkpointing enabled* left to
 // finish — that is the documented contract (chunk-boundary drains are part
 // of the checkpointed schedule).
+#include "src/ckpt/archive.h"
 #include "src/ckpt/format.h"
+#include "src/ckpt/writer.h"
 #include "src/ckpt/reader.h"
 #include "src/ckpt/signal.h"
 #include "src/exp/runner.h"
 #include "src/exp/sink.h"
 #include "src/exp/sweep.h"
+#include "src/fabric/lnuca_cache.h"
 #include "src/hier/presets.h"
 #include "src/hier/system.h"
 #include "src/trace/workload_spec.h"
@@ -143,6 +146,73 @@ TEST(ckpt_identity, single_core_lnuca_paranoid_engine)
     const auto resumed =
         run_killed_and_resumed(config, workload, 18'000, 2'000, 11, 2);
     expect_sim_fields_identical(clean, resumed);
+}
+
+TEST(ckpt_identity, fabric_restores_with_no_busy_tiles)
+{
+    // A fabric saved at quiescence restores with idle tiles: both tile sets
+    // empty, as a scan of the tiles finds. Fed the same evictions, the
+    // restored fabric then steps exactly like the one that was saved.
+    // Evictions only, fewer than the fabric holds and a third of them into
+    // one tile set, so replacement dominoes run but nothing needs a next
+    // level.
+    mem::txn_id_source ids;
+    fabric::fabric_config config;
+    config.levels = 4;
+    fabric::lnuca_cache saved(config, ids);
+    cycle_t now = 0;
+    const auto evict = [&](fabric::lnuca_cache& fab, addr_t block) {
+        mem::mem_request r;
+        r.addr = block;
+        r.size = 32;
+        r.kind = mem::access_kind::writeback;
+        r.needs_response = false;
+        r.dirty = (block >> 12) % 2 == 0;
+        r.created_at = now;
+        if (!fab.can_accept(r))
+            return false;
+        fab.accept(r);
+        return true;
+    };
+    for (int i = 0; i < 90;) {
+        const addr_t block =
+            i % 3 == 0 ? 0x80000 + addr_t(i) * 4096 : 0x40000 + addr_t(i) * 32;
+        i += evict(saved, block) ? 1 : 0;
+        saved.tick(now++);
+    }
+    while (!saved.quiescent())
+        saved.tick(now++);
+    ASSERT_GT(saved.counters().get("replacement_hops"), 90u);
+
+    const std::string path = temp_path("fabric_component.ckpt");
+    ckpt::writer w;
+    w.begin_section(ckpt::section_id::fabric);
+    saved.save_state(w);
+    w.end_section();
+    w.finalize(path, 0);
+    fabric::lnuca_cache restored(config, ids);
+    ckpt::reader r(path);
+    r.open_section(ckpt::section_id::fabric);
+    restored.load_state(r);
+    r.close_section();
+    std::remove(path.c_str());
+
+    EXPECT_TRUE(restored.quiescent());
+    EXPECT_TRUE(restored.busy_tiles().empty());
+    EXPECT_EQ(restored.busy_tiles(), restored.scan_busy_tiles());
+    EXPECT_EQ(restored.next_event(now), no_cycle);
+    EXPECT_EQ(restored.state_digest(), saved.state_digest());
+
+    for (int i = 0; i < 60; ++i) {
+        const addr_t block = 0x90000 + addr_t(i) * 4096;
+        const bool a = evict(saved, block);
+        ASSERT_EQ(evict(restored, block), a);
+        saved.tick(now);
+        restored.tick(now);
+        ++now;
+        ASSERT_EQ(restored.state_digest(), saved.state_digest()) << i;
+        ASSERT_EQ(restored.busy_tiles(), saved.busy_tiles()) << i;
+    }
 }
 
 TEST(ckpt_identity, single_core_dnuca_exact)
@@ -332,6 +402,39 @@ TEST(ckpt_damage, shorter_run_rejects_longer_runs_snapshot)
     resumed.checkpoint.resume = true;
     const auto r = hier::run_one(resumed, workload, 8'000, 1'000, 7);
     expect_sim_fields_identical(clean, r);
+}
+
+TEST(ckpt_damage, tile_replacement_pointer_out_of_range_is_rejected)
+{
+    // The fabric's replacement pass indexes a tile's U-buffers from its
+    // fairness pointer without a bound check, so a restored pointer past
+    // the tile's links must fail the restore instead.
+    const fabric::tile_config config;
+    fabric::tile saved(config, 2, 3);
+    saved.repl_rotate = 2;
+    const std::string path = temp_path("tile_rotate.ckpt");
+    ckpt::writer w;
+    w.begin_section(ckpt::section_id::fabric);
+    {
+        ckpt::saver ar(w);
+        saved.serialize(ar);
+    }
+    w.end_section();
+    w.finalize(path, 0);
+
+    for (const unsigned links : {3u, 2u}) {
+        fabric::tile restored(config, 2, links);
+        ckpt::reader r(path);
+        r.open_section(ckpt::section_id::fabric);
+        ckpt::loader ar(r);
+        if (links > 2) {
+            EXPECT_NO_THROW(restored.serialize(ar));
+            EXPECT_EQ(restored.repl_rotate, 2u);
+        } else {
+            EXPECT_THROW(restored.serialize(ar), ckpt::ckpt_error);
+        }
+    }
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -379,5 +379,52 @@ TEST(index_set, for_each_from_with_a_partial_last_word)
     }
 }
 
+TEST(index_set, empty_tracks_membership)
+{
+    index_set set(128);
+    EXPECT_TRUE(set.empty());
+    set.insert(70);
+    EXPECT_FALSE(set.empty());
+    set.insert(3);
+    set.erase(70);
+    EXPECT_FALSE(set.empty());
+    set.erase(3);
+    EXPECT_TRUE(set.empty());
+    // Erasing a non-member leaves the set as it was.
+    set.erase(5);
+    EXPECT_TRUE(set.empty());
+}
+
+TEST(index_set, empty_with_a_partial_last_word_and_zero_capacity)
+{
+    // 27 indices, the L-NUCA LN4 fabric's tile count: one partial word.
+    index_set set(27);
+    EXPECT_TRUE(set.empty());
+    set.insert(26);
+    EXPECT_FALSE(set.empty());
+    set.erase(26);
+    EXPECT_TRUE(set.empty());
+    EXPECT_TRUE(index_set(0).empty());
+    EXPECT_TRUE(index_set().empty());
+}
+
+TEST(index_set, clear_removes_every_member)
+{
+    index_set set(130);
+    for (const std::size_t i : {0u, 63u, 64u, 129u})
+        set.insert(i);
+    set.clear();
+    EXPECT_TRUE(set.empty());
+    set.for_each([](std::size_t i) { ADD_FAILURE() << "member " << i; });
+    // The set stays usable after a clear.
+    set.insert(65);
+    std::vector<std::size_t> seen;
+    set.for_each([&](std::size_t i) { seen.push_back(i); });
+    EXPECT_EQ(seen, (std::vector<std::size_t>{65}));
+    index_set none(0);
+    none.clear();
+    EXPECT_TRUE(none.empty());
+}
+
 } // namespace
 } // namespace lnuca

@@ -13,7 +13,12 @@ namespace {
 
 struct recorder final : mem::mem_client {
     std::map<txn_id_t, mem::mem_response> responses;
-    void respond(const mem::mem_response& r) override { responses[r.id] = r; }
+    std::vector<mem::mem_response> stream; ///< every response, in order
+    void respond(const mem::mem_response& r) override
+    {
+        responses[r.id] = r;
+        stream.push_back(r);
+    }
 };
 
 struct stub_next_level final : sim::ticked, mem::mem_port {
@@ -29,6 +34,11 @@ struct stub_next_level final : sim::ticked, mem::mem_port {
             ++dirty_writebacks;
         if (r.kind == mem::access_kind::write)
             ++word_writes;
+    }
+    cycle_t next_event(cycle_t) const override { return pending_.next_ready(); }
+    std::uint64_t state_digest() const override
+    {
+        return pending_.size() + (std::uint64_t(accepted) << 32);
     }
     void tick(cycle_t now) override
     {
@@ -51,7 +61,7 @@ struct stub_next_level final : sim::ticked, mem::mem_port {
     sim::timed_queue<mem::mem_request> pending_;
 };
 
-struct fabric_fixture : ::testing::Test {
+struct fabric_rig {
     void build(unsigned levels = 3, cycle_t next_latency = 20)
     {
         config.levels = levels;
@@ -111,6 +121,88 @@ struct fabric_fixture : ::testing::Test {
     std::unique_ptr<stub_next_level> next;
     sim::engine engine;
 };
+
+struct fabric_fixture : ::testing::Test, fabric_rig {};
+
+/// Protocol-respecting random driver: like a real r-tile, it only evicts
+/// blocks it owns (obtained through a completed read) and never holds a
+/// block it has evicted. Each step() offers the fabric at most one read,
+/// store miss or owned-block eviction; the caller advances the clock.
+struct stress_driver {
+    stress_driver(fabric_rig& rig, std::vector<addr_t> blocks,
+                  std::uint64_t seed)
+        : rig(rig), blocks(std::move(blocks)), random(seed)
+    {
+    }
+
+    void step()
+    {
+        // Collect completed reads: those blocks are now owned.
+        for (const auto& [id, response] : rig.client.responses) {
+            const auto it = inflight.find(id);
+            if (it != inflight.end()) {
+                owned.insert(it->second);
+                fetching.erase(it->second);
+                inflight.erase(it);
+                break;
+            }
+        }
+
+        const addr_t block = blocks[random.below(blocks.size())];
+        mem::mem_request r;
+        r.id = rig.ids.next();
+        r.addr = block;
+        r.created_at = rig.engine.now();
+        const auto pick = random.below(3);
+        if (pick == 0 && !owned.count(block) && !fetching.count(block)) {
+            r.kind = mem::access_kind::read;
+            if (rig.fab->can_accept(r)) {
+                rig.fab->accept(r);
+                fetching.insert(block);
+                inflight[r.id] = block;
+            }
+        } else if (pick == 1 && !owned.count(block) && !fetching.count(block)) {
+            r.kind = mem::access_kind::write;
+            r.needs_response = false;
+            if (rig.fab->can_accept(r))
+                rig.fab->accept(r);
+        } else if (pick == 2 && owned.count(block)) {
+            r.kind = mem::access_kind::writeback;
+            r.needs_response = false;
+            r.dirty = random.chance(0.5);
+            if (rig.fab->can_accept(r)) {
+                rig.fab->accept(r);
+                owned.erase(block);
+            }
+        }
+    }
+
+    fabric_rig& rig;
+    std::vector<addr_t> blocks;
+    rng random;
+    std::set<addr_t> owned;    ///< blocks currently "in the L1"
+    std::set<addr_t> fetching; ///< reads in flight
+    std::map<txn_id_t, addr_t> inflight;
+};
+
+std::vector<addr_t> spread_blocks(addr_t base, int count)
+{
+    std::vector<addr_t> blocks;
+    for (int i = 0; i < count; ++i)
+        blocks.push_back(base + addr_t(i) * 32);
+    return blocks;
+}
+
+/// Half the blocks in one tile set (4 KiB apart for 8 KiB 2-way tiles of
+/// 32 B blocks), so replacement victims domino outwards and spill through
+/// the exit tiles; the other half spread over distinct sets.
+std::vector<addr_t> conflicting_blocks()
+{
+    std::vector<addr_t> blocks = spread_blocks(0x40000, 32);
+    for (int i = 0; i < 32; ++i)
+        blocks.push_back(0x80000 + addr_t(i) * 4096);
+    return blocks;
+}
 
 TEST_F(fabric_fixture, global_miss_forwards_after_rings_plus_one)
 {
@@ -284,63 +376,16 @@ TEST_F(fabric_fixture, capacity_spills_through_corner_exits)
 
 TEST_F(fabric_fixture, exclusion_invariant_under_stress)
 {
-    // Protocol-respecting random driver: like a real r-tile, it only evicts
-    // blocks it owns (obtained through a completed read) and never holds a
-    // block it has evicted. The fabric must keep at most one copy of every
-    // block at all times.
+    // The fabric must keep at most one copy of every block at all times.
     build(3, 8);
-    rng rng(7);
-    std::vector<addr_t> blocks;
-    for (int i = 0; i < 64; ++i)
-        blocks.push_back(0x40000 + addr_t(i) * 32);
-
-    std::set<addr_t> owned;    // blocks currently "in the L1"
-    std::set<addr_t> fetching; // reads in flight
-    std::map<txn_id_t, addr_t> inflight;
-
+    stress_driver driver(*this, spread_blocks(0x40000, 64), 7);
     for (int step = 0; step < 4000; ++step) {
-        // Collect completed reads: those blocks are now owned.
-        for (const auto& [id, response] : client.responses) {
-            const auto it = inflight.find(id);
-            if (it != inflight.end()) {
-                owned.insert(it->second);
-                fetching.erase(it->second);
-                inflight.erase(it);
-                break;
-            }
-        }
-
-        const addr_t block = blocks[rng.below(blocks.size())];
-        mem::mem_request r;
-        r.id = ids.next();
-        r.addr = block;
-        r.created_at = engine.now();
-        const auto pick = rng.below(3);
-        if (pick == 0 && !owned.count(block) && !fetching.count(block)) {
-            r.kind = mem::access_kind::read;
-            if (fab->can_accept(r)) {
-                fab->accept(r);
-                fetching.insert(block);
-                inflight[r.id] = block;
-            }
-        } else if (pick == 1 && !owned.count(block) && !fetching.count(block)) {
-            r.kind = mem::access_kind::write;
-            r.needs_response = false;
-            if (fab->can_accept(r))
-                fab->accept(r);
-        } else if (pick == 2 && owned.count(block)) {
-            r.kind = mem::access_kind::writeback;
-            r.needs_response = false;
-            r.dirty = rng.chance(0.5);
-            if (fab->can_accept(r)) {
-                fab->accept(r);
-                owned.erase(block);
-            }
-        }
+        driver.step();
         engine.run(1);
         if (step % 64 == 0) {
-            for (const addr_t b : blocks)
-                ASSERT_LE(fab->copies_of(b) + (owned.count(b) ? 1u : 0u), 1u)
+            for (const addr_t b : driver.blocks)
+                ASSERT_LE(fab->copies_of(b) + (driver.owned.count(b) ? 1u : 0u),
+                          1u)
                     << "duplicate copy of a block";
         }
     }
@@ -420,6 +465,157 @@ TEST_F(fabric_fixture, quiescent_initially_and_after_traffic)
     EXPECT_FALSE(fab->quiescent());
     engine.run(60);
     EXPECT_TRUE(fab->quiescent());
+}
+
+TEST(fabric_golden, stress_digest_responses_and_busy_tiles)
+{
+    // Dense stepping: the fabric's state digest after every tick, its
+    // response stream and its final counters, for LN2, LN3 and LN4 with
+    // one- and two-entry link buffers, random and first-link routing. The
+    // values were captured with the full tile scan (every tile evaluated
+    // and committed every cycle) that the busy-tile set replaced. After
+    // every tick the busy set must also equal a scan of every tile for
+    // committed work.
+    //
+    // Two phases: the stress driver offering up to four requests a cycle
+    // (more than the one search a cycle the fabric injects), then a burst
+    // that evicts 600 blocks of one tile set and reads them straight back,
+    // whose converging hits are what makes transport contention, and so
+    // the marked search restart, occur at all.
+    struct golden_case {
+        unsigned levels;
+        std::uint32_t buffer_depth;
+        bool random_routing;
+        std::uint64_t expected;
+    };
+    const golden_case cases[] = {
+        {2, 1, true, 0xa4f3fb31ea24c0a7ull},
+        {2, 1, false, 0x23d360c35234f30eull},
+        {2, 2, true, 0xa64fc04848299b81ull},
+        {2, 2, false, 0xa72291c4e122910dull},
+        {3, 1, true, 0x58bb1ff29a423ac5ull},
+        {3, 1, false, 0x0d229aab29142f79ull},
+        {3, 2, true, 0xf57f51017c7c0973ull},
+        {3, 2, false, 0x0c605bec9410abc0ull},
+        {4, 1, true, 0x906f56840d0bf13bull},
+        {4, 1, false, 0x71bcbed3f1e9d912ull},
+        {4, 2, true, 0x9b7ee5da4d46f58dull},
+        {4, 2, false, 0xf1672ac77f3643d8ull},
+    };
+    counter_set totals;
+    for (const golden_case& c : cases) {
+        SCOPED_TRACE(::testing::Message() << "LN" << c.levels << " depth "
+                                          << c.buffer_depth << " random "
+                                          << c.random_routing);
+        fabric_rig rig;
+        rig.config.tile.buffer_depth = c.buffer_depth;
+        rig.config.random_routing = c.random_routing;
+        rig.build(c.levels, 8);
+        stress_driver driver(rig, conflicting_blocks(), 7 + c.levels);
+        const lnuca_cache& fab = *rig.fab;
+
+        sim::state_hash h;
+        std::uint64_t mismatched_cycles = 0;
+        std::uint64_t busy_cycles = 0;
+        const auto tick = [&] {
+            rig.engine.run(1);
+            h.mix(fab.state_digest());
+            const auto busy = fab.busy_tiles();
+            if (busy != fab.scan_busy_tiles())
+                ++mismatched_cycles;
+            busy_cycles += busy.empty() ? 0 : 1;
+        };
+        for (int step = 0; step < 3000; ++step) {
+            for (int k = 0; k < 4; ++k)
+                driver.step();
+            tick();
+        }
+        for (int cycle = 0; cycle < 500; ++cycle)
+            tick();
+
+        const auto offer = [&](addr_t block, mem::access_kind kind) {
+            mem::mem_request r;
+            r.addr = block;
+            r.kind = kind;
+            r.needs_response = kind == mem::access_kind::read;
+            for (;;) {
+                r.id = rig.ids.next();
+                r.created_at = rig.engine.now();
+                if (rig.fab->can_accept(r))
+                    break;
+                tick();
+            }
+            rig.fab->accept(r);
+        };
+        for (int i = 0; i < 600; ++i)
+            offer(0x100000 + addr_t(i) * 4096, mem::access_kind::writeback);
+        for (int cycle = 0; cycle < 500; ++cycle)
+            tick();
+        for (int i = 0; i < 600; ++i)
+            offer(0x100000 + addr_t(i) * 4096, mem::access_kind::read);
+        for (int cycle = 0; cycle < 2000; ++cycle)
+            tick();
+        ASSERT_TRUE(fab.quiescent());
+        EXPECT_EQ(mismatched_cycles, 0u);
+        EXPECT_GT(busy_cycles, 1000u);
+
+        for (const mem::mem_response& r : rig.client.stream) {
+            h.mix(r.id);
+            h.mix(r.ready_at);
+            h.mix(r.fabric_level);
+            h.mix(r.dirty ? 1 : 0);
+            h.mix(std::uint64_t(r.served_by));
+        }
+        h.mix(fab.counters().digest());
+        h.mix(fab.transport_actual_cycles());
+        h.mix(fab.transport_min_cycles());
+        for (unsigned level = 2; level <= c.levels; ++level)
+            h.mix(fab.read_hits_in_level(level));
+        h.mix(std::uint64_t(rig.next->accepted));
+        h.mix(std::uint64_t(rig.next->dirty_writebacks));
+        h.mix(std::uint64_t(rig.next->word_writes));
+        EXPECT_EQ(fab.counters().get("false_global_misses"), 0u);
+        EXPECT_EQ(fab.counters().get("install_conflicts"), 0u);
+        for (const auto& [name, value] : fab.counters().items())
+            totals.inc(name, value);
+        EXPECT_EQ(h.value(), c.expected) << std::hex << h.value();
+    }
+    // Together the cases reach every site that latches into a tile:
+    // search injection and forwarding, the marked restart, transport hops,
+    // replacement dominoes and eviction injection, plus the corner exits.
+    for (const char* name :
+         {"tile_hits", "ubuffer_hits", "store_hits_in_place",
+          "store_hits_in_transit", "transport_contention", "search_restarts",
+          "transport_blocked", "replacement_hops", "replacement_blocked",
+          "eviction_inject_blocked", "global_misses",
+          "dirty_exits_written_back", "clean_exits_dropped"})
+        EXPECT_GT(totals.get(name), 0u) << name;
+}
+
+TEST_F(fabric_fixture, paranoid_engine_holds_under_stress)
+{
+    // Paranoid stepping throws if the fabric (or the stub next level) acts
+    // on a cycle its next_event() declared idle; the busy and staged tile
+    // sets are that bound's tile term. A long next-level latency makes the
+    // driver stall on a full MSHR file, so cycles are skipped.
+    for (const unsigned levels : {3u, 4u}) {
+        SCOPED_TRACE(levels);
+        fabric_rig rig;
+        rig.engine.set_mode(sim::schedule_mode::paranoid);
+        rig.build(levels, 300);
+        stress_driver driver(rig, conflicting_blocks(), 19);
+        EXPECT_NO_THROW({
+            for (int step = 0; step < 6000; ++step) {
+                driver.step();
+                rig.engine.run(1);
+            }
+            rig.engine.run(3000);
+        });
+        EXPECT_GT(rig.engine.cycles_skipped(), 0u);
+        EXPECT_TRUE(rig.fab->quiescent());
+        EXPECT_EQ(rig.fab->busy_tiles(), rig.fab->scan_busy_tiles());
+        EXPECT_GT(rig.fab->counters().get("replacement_hops"), 0u);
+    }
 }
 
 } // namespace

@@ -233,8 +233,8 @@ TEST(engine_modes, paranoid_cross_check_passes_on_every_hierarchy_kind)
     // skip schedule would have jumped: a dishonest next_event() in any
     // component throws engine_paranoia_error.
     const auto workload = *wl::find_spec2006("429.mcf");
-    for (std::size_t c : {std::size_t(0), std::size_t(2), std::size_t(4),
-                          std::size_t(5)}) {
+    for (std::size_t c : {std::size_t(0), std::size_t(2), std::size_t(3),
+                          std::size_t(4), std::size_t(5)}) {
         system_config config = all_presets()[c];
         config.engine_mode = sim::schedule_mode::paranoid;
         EXPECT_NO_THROW(run_one(config, workload, 1500, 300, 11))

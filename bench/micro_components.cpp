@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks: raw throughput of the simulator's
 // building blocks (tag array, MSHR file, fabric cycle, mesh cycle, core
-// issue, branch predictor, workload generation) and of whole-system
-// simulation.
+// issue and mixed-class core cycle, branch predictor, workload generation)
+// and of whole-system simulation.
 #include "src/lnuca.h"
+#include "tests/core_stubs.h"
 
 #include <benchmark/benchmark.h>
 
@@ -196,6 +197,36 @@ void bm_core_issue(benchmark::State& state)
     state.SetItemsProcessed(std::int64_t(core.committed() - warm));
 }
 BENCHMARK(bm_core_issue);
+
+void bm_core_mixed(benchmark::State& state)
+{
+    // One tick of a core on the seeded INT/FP/load/store/branch mix of the
+    // core's golden tests, against a 12-cycle L1 that holds six accesses in
+    // flight: completions due 1 to 31 cycles out, pushed out of order, DTLB
+    // misses, store forwards, port retries and mispredicts - the
+    // per-instruction hand-offs bm_core_issue's latency-1 INT stream never
+    // reaches.
+    cpu::mixed_stream stream(0x5eed, 0.4, 0.15, false);
+    mem::txn_id_source ids;
+    cpu::ooo_core core({}, stream, ids);
+    cpu::instant_cache dcache(12);
+    dcache.capacity = 6;
+    core.set_dcache(&dcache);
+    dcache.client = &core;
+    cycle_t now = 0;
+    const auto cycle = [&] {
+        core.tick(now);
+        dcache.tick(now);
+        ++now;
+    };
+    while (now < 10000)
+        cycle();
+    const std::uint64_t warm = core.committed();
+    for (auto _ : state)
+        cycle();
+    state.SetItemsProcessed(std::int64_t(core.committed() - warm));
+}
+BENCHMARK(bm_core_mixed);
 
 void bm_system_simulation(benchmark::State& state)
 {

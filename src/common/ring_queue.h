@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <iterator>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -80,7 +81,10 @@ public:
 
     void pop_front()
     {
-        store_[head_] = T{}; // drop payload eagerly (parity with deque pop)
+        // Drop an owning payload eagerly (parity with deque pop); a trivially
+        // destructible one owns nothing, so its slot is left as it is.
+        if constexpr (!std::is_trivially_destructible_v<T>)
+            store_[head_] = T{};
         head_ = wrap(head_ + 1);
         --size_;
     }

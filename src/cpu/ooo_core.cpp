@@ -4,8 +4,58 @@
 #include "src/common/log.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace lnuca::cpu {
+namespace {
+
+// The tables below list op_class values in declaration order.
+static_assert(int(op_class::int_alu) == 0 && int(op_class::int_mul) == 1 &&
+              int(op_class::fp_add) == 2 && int(op_class::fp_mul) == 3 &&
+              int(op_class::fp_div) == 4 && int(op_class::load) == 5 &&
+              int(op_class::store) == 6 && int(op_class::branch) == 7);
+
+// Issue-window classes, the index of ooo_core's window tables.
+constexpr std::size_t win_int = 0;
+constexpr std::size_t win_fp = 1;
+constexpr std::size_t win_mem = 2; // also takes an LSQ slot
+
+constexpr std::array<std::uint8_t, 8> window_class = {
+    win_int, win_int,         // int_alu, int_mul
+    win_fp,  win_fp,  win_fp, // fp_add, fp_mul, fp_div
+    win_mem, win_mem,         // load, store
+    win_int};                 // branch
+
+constexpr std::size_t window_of(op_class op)
+{
+    return window_class[std::size_t(op)];
+}
+
+/// Upper bound on how far ahead the core schedules a completion: the
+/// longest execution or store-forward latency plus a DTLB miss (a store's
+/// address generation waits for its walk). Throws for a zero latency,
+/// which the completion calendar cannot hold.
+cycle_t completion_horizon(const core_config& c)
+{
+    const std::pair<const char*, unsigned> latencies[] = {
+        {"lat_int_alu", c.lat_int_alu},   {"lat_int_mul", c.lat_int_mul},
+        {"lat_fp_add", c.lat_fp_add},     {"lat_fp_mul", c.lat_fp_mul},
+        {"lat_fp_div", c.lat_fp_div},
+        {"lat_store_forward", c.lat_store_forward}};
+    cycle_t longest = 0;
+    for (const auto& [name, latency] : latencies) {
+        if (latency == 0)
+            throw std::invalid_argument(
+                std::string("ooo_core: ") + name +
+                " must be at least 1 cycle (a completion cannot be due in "
+                "the cycle that retires it)");
+        longest = std::max<cycle_t>(longest, latency);
+    }
+    return longest + c.tlb_miss_latency;
+}
+
+} // namespace
 
 ooo_core::ooo_core(const core_config& config, instruction_stream& stream,
                    mem::txn_id_source& ids)
@@ -15,7 +65,14 @@ ooo_core::ooo_core(const core_config& config, instruction_stream& stream,
       predictor_(4096, 16, 4096),
       dtlb_(config.tlb_entries, config.page_bytes),
       rob_(config.rob_size),
+      window_size_{config.int_window, config.fp_window, config.mem_window},
+      latency_{config.lat_int_alu, config.lat_int_mul, config.lat_fp_add,
+               config.lat_fp_mul, config.lat_fp_div,
+               config.lat_int_alu,  // load: unused, memory-timed
+               config.lat_int_alu,  // store: address generation
+               config.lat_int_alu}, // branch
       ready_(config.rob_size),
+      completions_(config.rob_size, completion_horizon(config)),
       served_by_level_(8, 0),
       served_by_fabric_level_(16, 0)
 {
@@ -45,7 +102,6 @@ ooo_core::ooo_core(const core_config& config, instruction_stream& stream,
     pending_loads_.reserve(config.lsq_size);
     retry_scratch_.reserve(config.lsq_size);
     rob_store_slots_.reserve(config.lsq_size);
-    completions_.reserve(config.rob_size);
     delayed_mem_.reserve(config.lsq_size);
     responses_.reserve(config.lsq_size + config.store_buffer_size);
     for (auto& entry : rob_)
@@ -76,11 +132,9 @@ bool ooo_core::dispatch_capacity(const instruction& inst) const
 {
     if (rob_count_ >= rob_.size())
         return false;
-    if (is_mem(inst.op))
-        return mem_used_ < config_.mem_window && lsq_used_ < config_.lsq_size;
-    if (is_fp(inst.op))
-        return fp_used_ < config_.fp_window;
-    return int_used_ < config_.int_window;
+    const std::size_t c = window_of(inst.op);
+    return window_used_[c] < window_size_[c] &&
+           (c != win_mem || lsq_used_ < config_.lsq_size);
 }
 
 cycle_t ooo_core::next_event(cycle_t now) const
@@ -117,9 +171,9 @@ std::uint64_t ooo_core::state_digest() const
     h.mix(rob_count_);
     h.mix(rob_head_);
     h.mix(next_seq_);
-    h.mix(int_used_);
-    h.mix(fp_used_);
-    h.mix(mem_used_);
+    h.mix(window_used_[win_int]);
+    h.mix(window_used_[win_fp]);
+    h.mix(window_used_[win_mem]);
     h.mix(lsq_used_);
     h.mix(fetch_queue_.size());
     h.mix(fetch_blocked_);
@@ -152,31 +206,10 @@ std::uint32_t ooo_core::slot_of_seq(std::uint64_t seq) const
     return std::uint32_t((rob_head_ + (seq - head_seq)) % rob_.size());
 }
 
-unsigned ooo_core::latency_of(op_class op) const
-{
-    switch (op) {
-    case op_class::int_alu: return config_.lat_int_alu;
-    case op_class::int_mul: return config_.lat_int_mul;
-    case op_class::fp_add: return config_.lat_fp_add;
-    case op_class::fp_mul: return config_.lat_fp_mul;
-    case op_class::fp_div: return config_.lat_fp_div;
-    case op_class::branch: return config_.lat_int_alu;
-    case op_class::store: return config_.lat_int_alu; // address generation
-    case op_class::load: return config_.lat_int_alu;  // unused: memory-timed
-    }
-    return 1;
-}
-
 void ooo_core::release_window(const rob_entry& entry)
 {
-    if (!entry.in_window)
-        return;
-    if (is_mem(entry.inst.op))
-        --mem_used_;
-    else if (is_fp(entry.inst.op))
-        --fp_used_;
-    else
-        --int_used_;
+    if (entry.in_window)
+        --window_used_[window_of(entry.inst.op)];
 }
 
 void ooo_core::process_responses(cycle_t now)
@@ -285,23 +318,23 @@ void ooo_core::wake_dependents(std::uint32_t slot)
 
 void ooo_core::writeback(cycle_t now)
 {
-    while (auto slot = completions_.pop_ready(now)) {
-        rob_entry& entry = rob_[*slot];
+    completions_.drain(now, [&](std::uint32_t slot) {
+        rob_entry& entry = rob_[slot];
         if (entry.state != entry_state::issued)
-            continue; // recycled slot: stale completion
+            return; // recycled slot: stale completion
         entry.state = entry_state::done;
         if (entry.in_window) { // store-forwarded loads release here
             release_window(entry);
             entry.in_window = false;
         }
-        wake_dependents(*slot);
+        wake_dependents(slot);
         if (entry.inst.op == op_class::branch && entry.mispredicted &&
             fetch_blocked_ && entry.seq == fetch_block_seq_) {
             fetch_blocked_ = false;
             fetch_block_seq_ = 0;
             fetch_stalled_until_ = now + config_.mispredict_penalty;
         }
-    }
+    });
 
     // TLB walks finished / cache-port retries.
     retry_scratch_.clear();
@@ -485,8 +518,8 @@ void ooo_core::dispatch(cycle_t now)
         if (!dispatch_capacity(fetch_queue_.front().inst))
             return;
 
-        const fetched item = fetch_queue_.front();
-        fetch_queue_.pop_front();
+        // Read in place; popped once the ROB entry is filled.
+        const fetched& item = fetch_queue_.front();
         if (now > item.ready_at)
             counters_.inc(h_dispatch_wait_, now - item.ready_at);
 
@@ -507,15 +540,12 @@ void ooo_core::dispatch(cycle_t now)
         entry.in_window = true;
         ++rob_count_;
 
-        if (is_mem(item.inst.op)) {
-            ++mem_used_;
+        const std::size_t window = window_of(item.inst.op);
+        ++window_used_[window];
+        if (window == win_mem) {
             ++lsq_used_;
             if (item.inst.op == op_class::store)
                 rob_store_slots_.push_back(slot);
-        } else if (is_fp(item.inst.op)) {
-            ++fp_used_;
-        } else {
-            ++int_used_;
         }
 
         // Resolve producers still in flight.
@@ -537,6 +567,7 @@ void ooo_core::dispatch(cycle_t now)
 
         if (item.mispredicted)
             fetch_block_seq_ = entry.seq;
+        fetch_queue_.pop_front();
     }
 }
 
@@ -584,6 +615,8 @@ void ooo_core::drain_store_buffer(cycle_t now)
         store_buffer_.pop_front();
         --sb_acked_;
     }
+    if (sb_unissued_ == 0)
+        return;
 
     // Issue the oldest unissued store.
     for (auto& sb : store_buffer_) {

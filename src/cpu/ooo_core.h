@@ -20,12 +20,14 @@
 #include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/cpu/branch_predictor.h"
+#include "src/cpu/completion_calendar.h"
 #include "src/cpu/instruction.h"
 #include "src/cpu/tlb.h"
 #include "src/mem/request.h"
 #include "src/sim/ticked.h"
 #include "src/sim/timed_queue.h"
 
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -60,6 +62,8 @@ struct core_config {
 
 class ooo_core final : public sim::ticked, public mem::mem_client {
 public:
+    /// Throws std::invalid_argument for a zero execution or store-forward
+    /// latency (a completion due in the cycle being retired).
     ooo_core(const core_config& config, instruction_stream& stream,
              mem::txn_id_source& ids);
 
@@ -198,7 +202,10 @@ private:
     void wake_dependents(std::uint32_t slot);
     void release_window(const rob_entry& entry);
     bool dispatch_capacity(const instruction& inst) const;
-    unsigned latency_of(op_class op) const;
+    unsigned latency_of(op_class op) const
+    {
+        return latency_[std::size_t(op)];
+    }
     bool in_rob(std::uint64_t seq) const;
     std::uint32_t slot_of_seq(std::uint64_t seq) const;
     bool store_forwards(const instruction& load) const;
@@ -227,9 +234,12 @@ private:
     std::uint64_t fetch_block_seq_ = 0; ///< branch that blocks fetch
     cycle_t fetch_stalled_until_ = 0;   ///< redirect penalty window
 
-    unsigned int_used_ = 0;
-    unsigned fp_used_ = 0;
-    unsigned mem_used_ = 0;
+    // Issue-window occupancy and size per window class (INT, FP, MEM; see
+    // window_of() in the .cpp), and execution latency per op_class, as
+    // tables so the per-instruction paths index instead of branching.
+    std::array<unsigned, 3> window_used_{};
+    std::array<unsigned, 3> window_size_{};
+    std::array<unsigned, 8> latency_{};
     unsigned lsq_used_ = 0;
 
     // ROB slots in entry_state::ready, maintained at the three transitions
@@ -245,7 +255,7 @@ private:
     unsigned sb_unissued_ = 0;
     unsigned sb_acked_ = 0;
 
-    sim::timed_queue<std::uint32_t> completions_; ///< rob slots finishing
+    completion_calendar completions_; ///< rob slots finishing
     sim::timed_queue<std::uint32_t> delayed_mem_; ///< TLB-miss / port retry
     /// In-flight demand loads (txn -> rob slot). Bounded by the LSQ, so a
     /// flat array + linear scan beats a node-allocating hash map.

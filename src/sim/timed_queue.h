@@ -5,13 +5,19 @@
 // whose time has come during its own tick. Ties preserve push order so the
 // simulation stays deterministic.
 //
-// Implemented as an owned binary min-heap rather than std::priority_queue:
-// popping moves the item out of the heap directly (std::priority_queue only
-// exposes a const top(), forcing a const_cast to move from it), reserve()
-// pre-sizes the backing store, and the (ready_at, seq) ordering is explicit
-// in one comparison function.
+// Most producers push in ready order (a constant-latency pipeline, a
+// response due now), so the queue is two sorted sources: a ring-buffer FIFO
+// that takes every push whose ready cycle is not below the FIFO's last one,
+// and an owned binary min-heap for the rest. Both hold (ready_at, seq)
+// entries in (ready_at, seq) order, the FIFO because its ready cycles never
+// fall and seq always rises, so popping the smaller of the two fronts pops
+// exactly the sequence one heap of every item would. An in-order push and
+// its pop are O(1) and move nothing else. The heap is owned rather than a
+// std::priority_queue so popping can move the item out (its top() is const)
+// and reserve() can pre-size it.
 #pragma once
 
+#include "src/common/ring_queue.h"
 #include "src/common/types.h"
 
 #include <cstdint>
@@ -26,13 +32,26 @@ class timed_queue {
 public:
     void push(cycle_t ready_at, T item)
     {
-        heap_.push_back(entry{ready_at, seq_++, std::move(item)});
-        sift_up(heap_.size() - 1);
+        if (fifo_.empty()) {
+            fifo_.reserve(fifo_capacity_); // allocates on the first push only
+        } else if (ready_at < fifo_.back().ready_at) {
+            heap_.push_back(entry{ready_at, seq_++, std::move(item)});
+            sift_up(heap_.size() - 1);
+            return;
+        }
+        fifo_.push_back(entry{ready_at, seq_++, std::move(item)});
     }
 
     /// Pop the oldest item with ready_at <= now, if any.
     std::optional<T> pop_ready(cycle_t now)
     {
+        if (fifo_first()) {
+            if (fifo_.front().ready_at > now)
+                return std::nullopt;
+            T item = std::move(fifo_.front().item);
+            fifo_.pop_front();
+            return item;
+        }
         if (heap_.empty() || heap_.front().ready_at > now)
             return std::nullopt;
         T item = std::move(heap_.front().item);
@@ -49,12 +68,22 @@ public:
     /// Cycle of the earliest pending item (no_cycle when empty).
     cycle_t next_ready() const
     {
+        if (fifo_first())
+            return fifo_.front().ready_at;
         return heap_.empty() ? no_cycle : heap_.front().ready_at;
     }
 
-    bool empty() const { return heap_.empty(); }
-    std::size_t size() const { return heap_.size(); }
-    void reserve(std::size_t n) { heap_.reserve(n); }
+    bool empty() const { return fifo_.empty() && heap_.empty(); }
+    std::size_t size() const { return fifo_.size() + heap_.size(); }
+    /// Pre-size both sources for `n` items. The heap's store is reserved
+    /// at once; the FIFO's on its first push, because a ring's store is
+    /// value-initialised and would otherwise be written in full while its
+    /// owner is still being built.
+    void reserve(std::size_t n)
+    {
+        fifo_capacity_ = n;
+        heap_.reserve(n);
+    }
 
 private:
     struct entry {
@@ -69,6 +98,13 @@ private:
         if (a.ready_at != b.ready_at)
             return a.ready_at < b.ready_at;
         return a.seq < b.seq;
+    }
+
+    /// The next item to pop sits at the FIFO's front.
+    bool fifo_first() const
+    {
+        return !fifo_.empty() &&
+               (heap_.empty() || before(fifo_.front(), heap_.front()));
     }
 
     void sift_up(std::size_t i)
@@ -100,6 +136,8 @@ private:
         }
     }
 
+    ring_queue<entry> fifo_;
+    std::size_t fifo_capacity_ = 0; ///< reserve()d, allocated at first push
     std::vector<entry> heap_;
     std::uint64_t seq_ = 0;
 };

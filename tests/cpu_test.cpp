@@ -5,10 +5,13 @@
 #include "src/cpu/ooo_core.h"
 #include "src/cpu/tlb.h"
 #include "src/sim/engine.h"
+#include "tests/core_stubs.h"
 
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <stdexcept>
+#include <vector>
 
 namespace lnuca::cpu {
 namespace {
@@ -95,54 +98,6 @@ struct pattern_stream final : instruction_stream {
         next_index = (next_index + 1) % pattern.size();
         return i;
     }
-};
-
-/// Instant L1: every access hits with a fixed latency. `capacity` bounds
-/// the accesses in flight (a full cache refuses, forcing port retries), and
-/// the accepted-request stream is folded into `accepted_digest` in order.
-struct instant_cache final : sim::ticked, mem::mem_port {
-    explicit instant_cache(cycle_t latency) : latency_(latency) {}
-    bool can_accept(const mem::mem_request&) const override
-    {
-        return pending_.size() < capacity;
-    }
-    void accept(const mem::mem_request& r) override
-    {
-        ++accepted;
-        accepted_digest.mix(r.id);
-        accepted_digest.mix(r.addr);
-        accepted_digest.mix(std::uint64_t(r.kind));
-        accepted_digest.mix(r.created_at);
-        if (r.needs_response)
-            pending_.push(r.created_at + latency_ - 1, r);
-    }
-    cycle_t next_event(cycle_t) const override { return pending_.next_ready(); }
-    std::uint64_t state_digest() const override
-    {
-        sim::state_hash h;
-        h.mix(accepted_digest.value());
-        h.mix(pending_.size());
-        h.mix(pending_.next_ready());
-        return h.value();
-    }
-    void tick(cycle_t now) override
-    {
-        while (auto r = pending_.pop_ready(now)) {
-            mem::mem_response resp;
-            resp.id = r->id;
-            resp.addr = r->addr;
-            resp.ready_at = now;
-            resp.served_by = mem::service_level::l1;
-            if (client)
-                client->respond(resp);
-        }
-    }
-    cycle_t latency_;
-    std::size_t capacity = ~std::size_t{0};
-    int accepted = 0;
-    sim::state_hash accepted_digest;
-    mem::mem_client* client = nullptr;
-    sim::timed_queue<mem::mem_request> pending_;
 };
 
 struct core_harness {
@@ -358,63 +313,6 @@ TEST_F(core_fixture, loads_served_accounting)
 
 // ---- Issue scheduler ------------------------------------------------------
 
-/// Seeded random instruction mix: `fp_share` FP ops, `mem_share` loads and
-/// stores, the rest INT ALU/multiply ops and branches. Operands chain to
-/// recent producers (short dependency chains), to an anchor load (about
-/// every fifth load; its return wakes a burst of INT and FP consumers) and
-/// occasionally to far producers, so the ROB holds ready, waiting and
-/// in-flight entries side by side. Addresses mix a few hot lines
-/// (store-to-load forwarding) with a spread over 512 pages (DTLB misses);
-/// a minority of branches is unpredictable. `ops[seq - 1]` is the class of
-/// the instruction the core numbers `seq`.
-struct mixed_stream final : instruction_stream {
-    mixed_stream(std::uint64_t seed, double fp_share, double mem_share)
-        : random(seed), fp_share(fp_share), mem_share(mem_share)
-    {
-    }
-
-    instruction next() override
-    {
-        instruction i;
-        const double r = random.uniform();
-        if (r < mem_share) {
-            i.op = random.chance(0.7) ? op_class::load : op_class::store;
-            i.addr = random.chance(0.3)
-                         ? 0x10000 + 8 * random.below(16)
-                         : random.below(512) * 8192 + 8 * random.below(1024);
-        } else if (r < mem_share + fp_share) {
-            const double k = random.uniform();
-            i.op = k < 0.5 ? op_class::fp_add
-                           : k < 0.9 ? op_class::fp_mul : op_class::fp_div;
-        } else {
-            const double k = random.uniform();
-            i.op = k < 0.7 ? op_class::int_alu
-                           : k < 0.85 ? op_class::int_mul : op_class::branch;
-            if (i.op == op_class::branch) {
-                i.pc = 0x400000 + 4 * random.below(64);
-                i.taken = random.chance(0.9);
-            }
-        }
-        const std::uint64_t since_load = ops.size() - last_load;
-        if (last_load != 0 && since_load <= 48 && random.chance(0.8))
-            i.dep[0] = std::uint32_t(since_load);
-        else if (random.chance(0.4))
-            i.dep[0] = std::uint32_t(1 + random.below(6));
-        if (random.chance(0.2))
-            i.dep[1] = std::uint32_t(1 + random.below(40));
-        ops.push_back(i.op);
-        if (i.op == op_class::load && random.chance(0.2))
-            last_load = ops.size();
-        return i;
-    }
-
-    std::vector<op_class> ops; ///< every instruction handed out, in order
-    std::uint64_t last_load = 0; ///< 1-based position of the anchor load
-    rng random;
-    double fp_share;
-    double mem_share;
-};
-
 TEST(issue_scheduler, golden_issue_order_and_ready_set)
 {
     // Dense stepping, one cycle at a time: the core's state digest after
@@ -509,6 +407,134 @@ TEST(issue_scheduler, paranoid_engine_holds_on_bare_core)
         EXPECT_GT(engine.cycles_skipped(), 0u);
         EXPECT_EQ(core.ready_seqs(), core.scan_ready_seqs());
     }
+}
+
+// ---- Completion calendar --------------------------------------------------
+
+/// The issue-order golden's core, stub L1 and mixed stream, ticked by hand
+/// with `1 + below(max_gap)` cycles from one tick to the next (the core
+/// must not care which cycles it is ticked at). Digests the core's state
+/// after every tick, the request stream it sends to the L1 and its final
+/// counters.
+std::uint64_t stepped_core_digest(const core_config& config,
+                                  std::uint64_t seed, std::uint64_t max_gap)
+{
+    mixed_stream stream(seed, 0.4, 0.15);
+    mem::txn_id_source ids;
+    ooo_core core(config, stream, ids);
+    instant_cache dcache(12);
+    dcache.capacity = 6;
+    core.set_dcache(&dcache);
+    dcache.client = &core;
+    const std::uint64_t instructions = 20000;
+    core.set_instruction_limit(instructions);
+    rng gaps(seed * 31 + 7);
+    sim::state_hash h;
+    for (cycle_t now = 0; !core.done() && now < 400 * instructions;
+         now += 1 + gaps.below(max_gap)) {
+        core.tick(now);
+        dcache.tick(now);
+        h.mix(core.state_digest());
+    }
+    EXPECT_TRUE(core.done());
+    EXPECT_GT(core.counters().get("dtlb_misses"), 100u);
+    EXPECT_GT(core.counters().get("store_forwards"), 5u);
+    h.mix(core.committed());
+    h.mix(core.cycles());
+    h.mix(core.counters().digest());
+    h.mix(dcache.accepted_digest.value());
+    return h.value();
+}
+
+TEST(completion_calendar, golden_long_tlb_miss_latency)
+{
+    // A 100-cycle DTLB miss puts store completions up to 101 cycles out,
+    // more than one 64-bit word of completion buckets. Dense stepping. The
+    // value was captured with the completion heap the calendar replaced.
+    core_config config;
+    config.tlb_miss_latency = 100;
+    const std::uint64_t digest = stepped_core_digest(config, 0xca1e, 1);
+    EXPECT_EQ(digest, 0xd0ab5e00fad609bfull) << std::hex << digest;
+}
+
+TEST(completion_calendar, golden_irregular_tick_gaps)
+{
+    // Ticks 1 to 70 cycles apart: one writeback then retires completions
+    // due at several past cycles, which must leave in (cycle, push) order.
+    // The value was captured with the completion heap the calendar
+    // replaced.
+    const std::uint64_t digest = stepped_core_digest(core_config{}, 0x9a95, 70);
+    EXPECT_EQ(digest, 0x83211b12a9d53c73ull) << std::hex << digest;
+}
+
+TEST(completion_calendar, matches_timed_queue_order)
+{
+    // Differential: random pushes 1..horizon cycles past the last drain,
+    // drains after random gaps (several buckets at once), against the
+    // timed_queue the core used before. Horizons below, at and above one
+    // 64-bucket word.
+    for (const cycle_t horizon : {cycle_t(7), cycle_t(63), cycle_t(150)}) {
+        SCOPED_TRACE(horizon);
+        const std::uint32_t slots = 96;
+        completion_calendar calendar(slots, horizon);
+        sim::timed_queue<std::uint32_t> reference;
+        std::vector<std::uint32_t> free_slots;
+        for (std::uint32_t s = 0; s < slots; ++s)
+            free_slots.push_back(s);
+        rng random(horizon);
+        cycle_t now = 5;
+        for (int step = 0; step < 20000; ++step) {
+            std::vector<std::uint32_t> got;
+            calendar.drain(now, [&](std::uint32_t s) { got.push_back(s); });
+            std::vector<std::uint32_t> want;
+            while (auto s = reference.pop_ready(now))
+                want.push_back(*s);
+            ASSERT_EQ(got, want) << "cycle " << now;
+            free_slots.insert(free_slots.end(), got.begin(), got.end());
+            for (std::uint64_t n = random.below(6);
+                 n > 0 && !free_slots.empty(); --n) {
+                const std::size_t pick = random.below(free_slots.size());
+                const std::uint32_t s = free_slots[pick];
+                free_slots[pick] = free_slots.back();
+                free_slots.pop_back();
+                // Mostly short latencies (ties), sometimes the horizon.
+                const cycle_t d = random.chance(0.1) ? horizon
+                                                     : 1 + random.below(4);
+                calendar.push(now + d, s);
+                reference.push(now + d, s);
+            }
+            ASSERT_EQ(calendar.size(), reference.size());
+            ASSERT_EQ(calendar.next_ready(), reference.next_ready());
+            now += random.chance(0.7) ? 1 : 1 + random.below(2 * horizon);
+        }
+    }
+}
+
+TEST(completion_calendar, zero_latencies_are_rejected)
+{
+    // A zero latency would schedule a completion in the cycle whose
+    // completions were just retired.
+    const auto build = [](void (*edit)(core_config&)) {
+        core_config config;
+        edit(config);
+        pattern_stream stream;
+        stream.pattern = {alu()};
+        mem::txn_id_source ids;
+        ooo_core core(config, stream, ids);
+    };
+    EXPECT_THROW(build([](core_config& c) { c.lat_int_alu = 0; }),
+                 std::invalid_argument);
+    EXPECT_THROW(build([](core_config& c) { c.lat_int_mul = 0; }),
+                 std::invalid_argument);
+    EXPECT_THROW(build([](core_config& c) { c.lat_fp_add = 0; }),
+                 std::invalid_argument);
+    EXPECT_THROW(build([](core_config& c) { c.lat_fp_mul = 0; }),
+                 std::invalid_argument);
+    EXPECT_THROW(build([](core_config& c) { c.lat_fp_div = 0; }),
+                 std::invalid_argument);
+    EXPECT_THROW(build([](core_config& c) { c.lat_store_forward = 0; }),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(build([](core_config& c) { c.tlb_miss_latency = 0; }));
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace lnuca::sim {
@@ -130,6 +132,97 @@ TEST(timed_queue, heap_preserves_push_order_under_interleaving)
         expected.push_back(v);
 
     EXPECT_EQ(popped, expected);
+}
+
+/// Differential check of timed_queue against a stable-sorted reference,
+/// for any payload `make(id)` builds. A seeded LCG mixes monotone runs
+/// (the FIFO path), out-of-order pushes (the heap path), heavy ties, pushes
+/// below the last popped cycle, far-future pushes and pops at an advancing
+/// `now`; after every operation the pop sequence, next_ready() and size()
+/// must match.
+template <class T, class Make> void check_against_reference(Make make)
+{
+    timed_queue<T> q;
+    // (ready_at, id) in pop order: ascending ready_at, push order on ties.
+    std::vector<std::pair<cycle_t, int>> reference;
+    std::uint64_t lcg = 0x7157;
+    const auto draw = [&](std::uint64_t n) {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        return (lcg >> 33) % n;
+    };
+    cycle_t now = 100;
+    cycle_t last_pushed = now;
+    cycle_t last_popped = 0;
+    int id = 0;
+    std::size_t heap_pushes = 0; // pushes that went below the FIFO's tail
+    const auto push = [&](cycle_t at) {
+        if (at < last_pushed)
+            ++heap_pushes;
+        last_pushed = std::max(last_pushed, at);
+        q.push(at, make(id));
+        const auto pos = std::upper_bound(
+            reference.begin(), reference.end(), at,
+            [](cycle_t t, const auto& e) { return t < e.first; });
+        reference.insert(pos, {at, id});
+        ++id;
+    };
+    const auto check = [&] {
+        ASSERT_EQ(q.size(), reference.size());
+        ASSERT_EQ(q.next_ready(),
+                  reference.empty() ? no_cycle : reference.front().first);
+    };
+    for (int op = 0; op < 20000; ++op) {
+        switch (draw(8)) {
+        case 0: // monotone run at a constant latency
+            for (std::uint64_t n = 1 + draw(6); n > 0; --n) {
+                push(now + 4);
+                check();
+            }
+            break;
+        case 1: // out of order, near future
+            push(now + draw(30));
+            break;
+        case 2: // heavy ties: the same cycle as the last push
+            push(last_pushed);
+            break;
+        case 3: // already overdue: below the last popped cycle
+            push(last_popped - std::min<cycle_t>(last_popped, draw(5)));
+            break;
+        case 4: // far future
+            push(now + 100000 + draw(1000));
+            break;
+        default: { // pop everything due, then advance time
+            while (auto v = q.pop_ready(now)) {
+                ASSERT_FALSE(reference.empty());
+                ASSERT_LE(reference.front().first, now);
+                ASSERT_EQ(*v, make(reference.front().second));
+                last_popped = reference.front().first;
+                reference.erase(reference.begin());
+                check();
+            }
+            ASSERT_TRUE(reference.empty() || reference.front().first > now);
+            now += draw(4);
+            break;
+        }
+        }
+        check();
+    }
+    EXPECT_GT(heap_pushes, 1000u);
+    // Drain the far-future rest.
+    while (auto v = q.pop_ready(no_cycle - 1)) {
+        ASSERT_EQ(*v, make(reference.front().second));
+        reference.erase(reference.begin());
+    }
+    EXPECT_TRUE(reference.empty());
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(timed_queue, fifo_and_heap_match_a_sorted_reference)
+{
+    check_against_reference<int>([](int id) { return id; });
+    // A payload that owns memory (pop resets the FIFO slot).
+    check_against_reference<std::string>(
+        [](int id) { return "item-" + std::to_string(id); });
 }
 
 struct counter_component final : ticked {

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 using namespace lnuca;
 
@@ -53,8 +54,23 @@ int main(int argc, char** argv)
         return 1;
     }
 
+    // `all` is this example's own keyword, not a workload spec: keep it
+    // away from run_app, whose --workload parser rejects unknown specs.
+    std::vector<const char*> app_argv;
+    for (int i = 0; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--workload=all")
+            continue;
+        if (arg == "--workload" && i + 1 < argc &&
+            std::string(argv[i + 1]) == "all") {
+            ++i;
+            continue;
+        }
+        app_argv.push_back(argv[i]);
+    }
+
     return exp::run_app(
-        argc, argv, {config}, std::move(workloads),
+        int(app_argv.size()), app_argv.data(), {config}, std::move(workloads),
         [](const exp::report& rep, const exp::app_options& opt) {
             std::printf("L-NUCA quickstart: %zu run(s) on %s, %llu "
                         "instructions (+%llu warmup)\n\n",

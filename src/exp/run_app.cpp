@@ -78,19 +78,15 @@ app_options parse_app_options(const cli_args& args)
     else if (engine == "paranoid")
         opt.engine_mode = sim::schedule_mode::paranoid;
     else
-        std::fprintf(stderr,
-                     "unknown --engine '%s' (dense|skip|paranoid); using "
-                     "idle-skip\n",
-                     engine.c_str());
+        set_cli_error(opt, "unknown --engine '" + engine +
+                               "' (expected dense|skip|paranoid)");
     const std::string sampling = args.get_string("sampling", "off");
-    if (const auto parsed = hier::parse_sampling_spec(sampling)) {
+    if (const auto parsed = hier::parse_sampling_spec(sampling))
         opt.sampling = *parsed;
-    } else {
-        std::fprintf(stderr,
-                     "unknown --sampling '%s' (off|periodic:<detail>:<period>"
-                     "[:<warmup>]); sampling stays off\n",
-                     sampling.c_str());
-    }
+    else
+        set_cli_error(opt, "invalid --sampling '" + sampling +
+                               "' (expected off|periodic:<detail>:<period>"
+                               "[:<warmup>])");
     if (const auto shard = args.value("shard")) {
         // A mistyped shard used to fall back to the *full* sweep — the
         // worst possible recovery for a fleet driver, which would then run
@@ -103,11 +99,9 @@ app_options parse_app_options(const cli_args& args)
         std::string bad;
         opt.workload_override = trace::parse_workload_list(*workloads, &bad);
         if (opt.workload_override.empty())
-            std::fprintf(stderr,
-                         "unknown --workload spec '%s' (expected a SPEC "
-                         "proxy name, trace:<file>, or scenario:<name>); "
-                         "keeping the default workload set\n",
-                         bad.c_str());
+            set_cli_error(opt, "unknown --workload spec '" + bad +
+                                   "' (expected a SPEC proxy name, "
+                                   "trace:<file>, or scenario:<name>)");
         // Canonical ordering: a sweep's flat indices (and hence seeds and
         // resume/merge provenance) must be a function of the workload
         // *set*, not of the order the specs were typed in — otherwise

@@ -129,8 +129,9 @@ struct app_options {
     std::string checkpoint_dir;         ///< --checkpoint-dir (defaulted)
 
     /// Set by parse_app_options on an unusable command line (bad --shard,
-    /// bad --fault, ...). Callers must print cli_error_text and exit with
-    /// exit_cli_error instead of running a half-configured sweep.
+    /// --fault, --engine, --sampling or --workload value, ...). Callers
+    /// must print cli_error_text and exit with exit_cli_error instead of
+    /// running a half-configured sweep.
     bool cli_error = false;
     std::string cli_error_text;
 };

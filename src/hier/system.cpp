@@ -60,6 +60,7 @@ system::system(const system_config& config, const std::vector<lane_spec>& lanes,
         build_cmp(lanes);
     else
         build_single(lanes.front());
+    build_ckpt_components();
 }
 
 system::~system()
@@ -382,9 +383,10 @@ std::uint64_t counter_delta(const counter_set& counters, const std::string& name
 
 } // namespace
 
-/// Snapshot/delta accumulator for detailed measurement: the exact path
-/// harvests one segment covering the whole run, the sampled path sums many
-/// windows (plus per-window CPI samples for the confidence interval).
+/// Snapshot/delta accumulator for detailed measurement: the exact plan sums
+/// its chunks (one covering the whole run without checkpoints), the sampled
+/// plan its windows (plus per-window CPI samples for the confidence
+/// interval).
 struct system::window_totals {
     std::uint64_t instructions = 0;
     std::uint64_t cycles = 0;
@@ -436,8 +438,7 @@ struct system::window_totals {
 };
 
 /// Baseline counter values for one measured span; harvest_levels() turns
-/// the snapshot and the post-span counters into window_totals deltas. One
-/// snapshot/delta implementation serves the exact, sampled and CMP drivers.
+/// the snapshot and the post-span counters into window_totals deltas.
 struct system::level_snapshot {
     std::vector<counter_set> l1;
     counter_set l2, l3, fabric, dnuca, memory;
@@ -445,6 +446,36 @@ struct system::level_snapshot {
     std::vector<std::uint64_t> fab_hits;
     std::uint64_t transport_actual = 0;
     std::uint64_t transport_min = 0;
+};
+
+/// The driver's whole progress state: the checkpoint `driver` section, so a
+/// resumed run continues summing into the same totals and cursors.
+struct system::progress {
+    /// Index of the next segment to run.
+    std::uint64_t next = 0;
+    /// Per-lane instructions retired so far (the checkpoint cadence cursor).
+    std::uint64_t retired = 0;
+    /// Draws each sampled window's offset within its span.
+    rng placement;
+    /// Measured commits and cycles per core (per_core_ipc).
+    std::vector<std::uint64_t> core_instr;
+    std::vector<std::uint64_t> core_cycles;
+    /// Per-lane retirement rate in the latest measured segment, fed back
+    /// into the fast-forward (see fast_forward). All 1.0 until the first
+    /// window, which makes the first fast-forwards lockstep.
+    std::vector<double> rates;
+    window_totals totals;
+
+    template <class Ar> void serialize(Ar& ar)
+    {
+        ar(next);
+        ar(retired);
+        ar(placement);
+        ar(core_instr);
+        ar(core_cycles);
+        ar(rates);
+        ar(totals);
+    }
 };
 
 system::level_snapshot system::snap_levels() const
@@ -544,21 +575,29 @@ void system::harvest_core(cpu::ooo_core& core, window_totals& totals) const
     totals.load_latency_count += core.load_latency().total();
 }
 
-void system::apply_totals(run_result& r, const window_totals& totals) const
+void system::apply_totals(run_result& r, const window_totals& totals,
+                          double factor) const
 {
-    r.l2_read_hits = totals.l2_read_hits;
-    r.fabric_read_hits = totals.fabric_read_hits;
-    r.transport_actual = totals.transport_actual;
-    r.transport_min = totals.transport_min;
-    r.search_restarts = totals.search_restarts;
-    r.searches = totals.searches;
-    r.loads_l1 = totals.loads_l1;
-    r.loads_fabric = totals.loads_fabric;
-    r.loads_l2 = totals.loads_l2;
-    r.loads_l3 = totals.loads_l3;
-    r.loads_dnuca = totals.loads_dnuca;
-    r.loads_memory = totals.loads_memory;
-    r.loads_peer = totals.loads_peer;
+    // Event counts extrapolate from the measured instructions to the whole
+    // run. The exact plan passes 1.0, which is the identity for every count
+    // below 2^53.
+    const auto scaled = [factor](std::uint64_t v) {
+        return std::uint64_t(std::llround(double(v) * factor));
+    };
+    r.l2_read_hits = scaled(totals.l2_read_hits);
+    for (const std::uint64_t hits : totals.fabric_read_hits)
+        r.fabric_read_hits.push_back(scaled(hits));
+    r.transport_actual = scaled(totals.transport_actual);
+    r.transport_min = scaled(totals.transport_min);
+    r.search_restarts = scaled(totals.search_restarts);
+    r.searches = scaled(totals.searches);
+    r.loads_l1 = scaled(totals.loads_l1);
+    r.loads_fabric = scaled(totals.loads_fabric);
+    r.loads_l2 = scaled(totals.loads_l2);
+    r.loads_l3 = scaled(totals.loads_l3);
+    r.loads_dnuca = scaled(totals.loads_dnuca);
+    r.loads_memory = scaled(totals.loads_memory);
+    r.loads_peer = scaled(totals.loads_peer);
     r.avg_load_latency =
         totals.load_latency_count == 0
             ? 0.0
@@ -566,6 +605,12 @@ void system::apply_totals(run_result& r, const window_totals& totals) const
 
     power::energy_inputs in = totals.energy;
     in.cycles = r.cycles;
+    for (std::uint64_t* count :
+         {&in.l1_accesses, &in.l2_accesses, &in.tile_tag_lookups,
+          &in.tile_data_accesses, &in.transport_hops, &in.replacement_hops,
+          &in.search_hops, &in.l3_accesses, &in.bank_accesses,
+          &in.dnuca_flit_hops, &in.memory_transfers})
+        *count = scaled(*count);
     r.energy = power::compute_energy(in);
 }
 
@@ -593,13 +638,37 @@ std::uint64_t mix_str(std::uint64_t h, const std::string& s)
 
 } // namespace
 
+void system::build_ckpt_components()
+{
+    const auto add = [this](ckpt::section_id section, std::uint32_t index,
+                            const std::string& name, sim::ticked* state) {
+        if (state != nullptr)
+            ckpt_components_.push_back({section, index, name, state});
+    };
+    for (std::uint32_t i = 0; i < cores_.size(); ++i)
+        add(ckpt::section_id::core, i, "core" + std::to_string(i),
+            cores_[i].get());
+    for (std::uint32_t i = 0; i < l1s_.size(); ++i)
+        add(ckpt::section_id::l1, i, "l1#" + std::to_string(i), l1s_[i].get());
+    add(ckpt::section_id::hub, 0, "hub", hub_.get());
+    add(ckpt::section_id::bus, 0, "bus", l1_l2_bus_.get());
+    add(ckpt::section_id::l2, 0, "l2", l2_.get());
+    add(ckpt::section_id::l3, 0, "l3", l3_.get());
+    add(ckpt::section_id::fabric, 0, "fabric", fabric_.get());
+    add(ckpt::section_id::dnuca, 0, "dnuca", dnuca_.get());
+    add(ckpt::section_id::memory, 0, "memory", memory_.get());
+}
+
 std::uint64_t system::ckpt_config_hash() const
 {
-    // Everything that decides which driver runs, which sections exist and
+    // Everything that decides which plan runs, which sections exist and
     // how the components are sized. Deliberately not every tuning knob: the
     // per-component payloads carry their own structure (vector sizes), so a
     // resized cache fails the section load loudly even if the hash passed.
-    std::uint64_t h = 0x4c4e4b50'54310001ULL;
+    // The salt names the `driver` section layout (system::progress): a
+    // snapshot from another layout is a config-hash mismatch, rejected
+    // before any state is touched.
+    std::uint64_t h = 0x4c4e4b50'54310002ULL;
     h = mix_str(h, config_.name);
     h = mix(h, std::uint64_t(config_.kind));
     h = mix(h, config_.cores);
@@ -620,35 +689,8 @@ std::uint64_t system::ckpt_config_hash() const
     return h;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>>
-system::component_digests() const
-{
-    std::vector<std::pair<std::string, std::uint64_t>> digests;
-    for (std::size_t i = 0; i < cores_.size(); ++i)
-        digests.emplace_back("core" + std::to_string(i),
-                             cores_[i]->state_digest());
-    for (std::size_t i = 0; i < l1s_.size(); ++i)
-        digests.emplace_back("l1#" + std::to_string(i),
-                             l1s_[i]->state_digest());
-    if (hub_)
-        digests.emplace_back("hub", hub_->state_digest());
-    if (l1_l2_bus_)
-        digests.emplace_back("bus", l1_l2_bus_->state_digest());
-    if (l2_)
-        digests.emplace_back("l2", l2_->state_digest());
-    if (l3_)
-        digests.emplace_back("l3", l3_->state_digest());
-    if (fabric_)
-        digests.emplace_back("fabric", fabric_->state_digest());
-    if (dnuca_)
-        digests.emplace_back("dnuca", dnuca_->state_digest());
-    digests.emplace_back("memory", memory_->state_digest());
-    return digests;
-}
-
-void system::save_checkpoint(
-    std::uint64_t run_instructions, std::uint64_t run_warmup,
-    const std::function<void(ckpt::writer&)>& driver_save)
+void system::save_checkpoint(std::uint64_t run_instructions,
+                             std::uint64_t run_warmup, const progress& p)
 {
     using ckpt::section_id;
     try {
@@ -677,49 +719,11 @@ void system::save_checkpoint(
         }
         w.end_section();
 
-        for (std::size_t i = 0; i < cores_.size(); ++i) {
-            w.begin_section(section_id::core, std::uint32_t(i));
-            cores_[i]->save_state(w);
+        for (const ckpt_component& c : ckpt_components_) {
+            w.begin_section(c.section, c.index);
+            c.state->save_state(w);
             w.end_section();
         }
-        for (std::size_t i = 0; i < l1s_.size(); ++i) {
-            w.begin_section(section_id::l1, std::uint32_t(i));
-            l1s_[i]->save_state(w);
-            w.end_section();
-        }
-        if (hub_) {
-            w.begin_section(section_id::hub);
-            hub_->save_state(w);
-            w.end_section();
-        }
-        if (l1_l2_bus_) {
-            w.begin_section(section_id::bus);
-            l1_l2_bus_->save_state(w);
-            w.end_section();
-        }
-        if (l2_) {
-            w.begin_section(section_id::l2);
-            l2_->save_state(w);
-            w.end_section();
-        }
-        if (l3_) {
-            w.begin_section(section_id::l3);
-            l3_->save_state(w);
-            w.end_section();
-        }
-        if (fabric_) {
-            w.begin_section(section_id::fabric);
-            fabric_->save_state(w);
-            w.end_section();
-        }
-        if (dnuca_) {
-            w.begin_section(section_id::dnuca);
-            dnuca_->save_state(w);
-            w.end_section();
-        }
-        w.begin_section(section_id::memory);
-        memory_->save_state(w);
-        w.end_section();
 
         for (std::size_t i = 0; i < streams_.size(); ++i) {
             w.begin_section(section_id::stream, std::uint32_t(i));
@@ -728,17 +732,20 @@ void system::save_checkpoint(
         }
 
         w.begin_section(section_id::driver);
-        driver_save(w);
+        {
+            ckpt::saver ar(w);
+            ar(p);
+        }
         w.end_section();
 
-        // Digest values in component_digests() order; restore recomputes
-        // and compares, so a load that "succeeded" into the wrong state is
-        // caught before the run resumes.
+        // Digest values in section order; restore recomputes and compares,
+        // so a load that "succeeded" into the wrong state is caught before
+        // the run resumes.
         w.begin_section(section_id::digests);
         {
             ckpt::saver ar(w);
-            for (const auto& [name, digest] : component_digests())
-                ar(digest);
+            for (const ckpt_component& c : ckpt_components_)
+                ar(c.state->state_digest());
         }
         w.end_section();
 
@@ -751,9 +758,8 @@ void system::save_checkpoint(
     }
 }
 
-bool system::try_load_checkpoint(
-    std::uint64_t run_instructions, std::uint64_t run_warmup,
-    const std::function<void(ckpt::reader&)>& driver_load)
+bool system::try_load_checkpoint(std::uint64_t run_instructions,
+                                 std::uint64_t run_warmup, progress& p)
 {
     using ckpt::section_id;
     const checkpoint_config& cc = config_.checkpoint;
@@ -807,49 +813,11 @@ bool system::try_load_checkpoint(
         }
         r.close_section();
 
-        for (std::size_t i = 0; i < cores_.size(); ++i) {
-            r.open_section(section_id::core, std::uint32_t(i));
-            cores_[i]->load_state(r);
+        for (const ckpt_component& c : ckpt_components_) {
+            r.open_section(c.section, c.index);
+            c.state->load_state(r);
             r.close_section();
         }
-        for (std::size_t i = 0; i < l1s_.size(); ++i) {
-            r.open_section(section_id::l1, std::uint32_t(i));
-            l1s_[i]->load_state(r);
-            r.close_section();
-        }
-        if (hub_) {
-            r.open_section(section_id::hub);
-            hub_->load_state(r);
-            r.close_section();
-        }
-        if (l1_l2_bus_) {
-            r.open_section(section_id::bus);
-            l1_l2_bus_->load_state(r);
-            r.close_section();
-        }
-        if (l2_) {
-            r.open_section(section_id::l2);
-            l2_->load_state(r);
-            r.close_section();
-        }
-        if (l3_) {
-            r.open_section(section_id::l3);
-            l3_->load_state(r);
-            r.close_section();
-        }
-        if (fabric_) {
-            r.open_section(section_id::fabric);
-            fabric_->load_state(r);
-            r.close_section();
-        }
-        if (dnuca_) {
-            r.open_section(section_id::dnuca);
-            dnuca_->load_state(r);
-            r.close_section();
-        }
-        r.open_section(section_id::memory);
-        memory_->load_state(r);
-        r.close_section();
 
         for (std::size_t i = 0; i < streams_.size(); ++i) {
             r.open_section(section_id::stream, std::uint32_t(i));
@@ -858,7 +826,10 @@ bool system::try_load_checkpoint(
         }
 
         r.open_section(section_id::driver);
-        driver_load(r);
+        {
+            ckpt::loader ar(r);
+            ar(p);
+        }
         r.close_section();
 
         // Digest verification: the save-time digests must match the values
@@ -866,13 +837,13 @@ bool system::try_load_checkpoint(
         r.open_section(section_id::digests);
         {
             ckpt::loader ar(r);
-            for (const auto& [name, digest] : component_digests()) {
+            for (const ckpt_component& c : ckpt_components_) {
                 std::uint64_t stored = 0;
                 ar(stored);
-                if (stored != digest)
+                if (stored != c.state->state_digest())
                     throw ckpt::ckpt_error(
                         cc.path + ": state digest mismatch after restore (" +
-                        name + ")");
+                        c.name + ")");
             }
         }
         r.close_section();
@@ -897,20 +868,18 @@ bool system::try_load_checkpoint(
     }
 }
 
-void system::checkpoint_boundary(
-    std::uint64_t retired, std::uint64_t run_instructions,
-    std::uint64_t run_warmup,
-    const std::function<void(ckpt::writer&)>& driver_save)
+void system::checkpoint_boundary(std::uint64_t run_instructions,
+                                 std::uint64_t run_warmup, const progress& p)
 {
     const checkpoint_config& cc = config_.checkpoint;
     if (!cc.enabled())
         return;
     const bool signalled = ckpt::interrupt_requested();
-    if (!signalled && retired - ckpt_last_save_ < cc.every)
+    if (!signalled && p.retired - ckpt_last_save_ < cc.every)
         return;
 
-    save_checkpoint(run_instructions, run_warmup, driver_save);
-    ckpt_last_save_ = retired;
+    save_checkpoint(run_instructions, run_warmup, p);
+    ckpt_last_save_ = p.retired;
     ++ckpt_saves_;
 
     // CI crash hook: simulate a SIGKILL a bounded number of saves into the
@@ -932,234 +901,10 @@ void system::checkpoint_complete()
         ::unlink(config_.checkpoint.path.c_str());
 }
 
-run_result system::run(std::uint64_t instructions, std::uint64_t warmup)
-{
-    if (cores_.size() > 1) {
-        if (config_.sampling.enabled && instructions > 0)
-            return run_cmp_sampled(instructions, warmup);
-        return run_cmp(instructions, warmup);
-    }
-
-    // A zero-instruction request has no windows to place; the exact path
-    // handles it as a degenerate (empty) measurement.
-    if (config_.sampling.enabled && instructions > 0)
-        return run_sampled(instructions, warmup);
-
-    cpu::ooo_core* core = cores_.front().get();
-    const cycle_t max_cycles = 400 * (instructions + warmup) + 2'000'000;
-
-    // Measurement cursor + accumulated totals: together the exact driver's
-    // entire progress state, so they are what the `driver` section carries.
-    window_totals totals;
-    std::uint64_t done = 0;
-
-    const bool restored =
-        try_load_checkpoint(instructions, warmup, [&](ckpt::reader& r) {
-            ckpt::loader ar(r);
-            ar(done);
-            ar(totals);
-        });
-    if (restored) {
-        ckpt_last_save_ = done;
-    } else {
-        // Warm-up window. Not checkpointed: a kill during warm-up restarts
-        // cold, losing at most the warm-up itself.
-        core->set_instruction_limit(warmup);
-        engine_.run_until([&] { return core->done(); }, max_cycles);
-    }
-
-    // Measurement: the same snapshot/delta harvest the sampled driver uses
-    // per window. Without checkpointing this is one segment covering the
-    // whole run (byte-for-byte the pre-checkpoint driver); with it, the run
-    // chops into checkpoint.every-instruction chunks separated by a drain
-    // (excluded from the measured cycles) and a quiescent snapshot.
-    const auto host_start = std::chrono::steady_clock::now();
-    const std::uint64_t chunk_size =
-        config_.checkpoint.enabled() ? config_.checkpoint.every : 0;
-    // `first` keeps the degenerate zero-instruction run on the historical
-    // path: one empty measured segment, not zero segments.
-    bool first = !restored;
-    while (first || done < instructions) {
-        first = false;
-        const std::uint64_t chunk =
-            chunk_size == 0 ? instructions - done
-                            : std::min(chunk_size, instructions - done);
-        detailed_segment(chunk, max_cycles, &totals);
-        done += core->committed();
-        if (core->committed() < chunk)
-            break; // cycle ceiling hit; mirror the single-segment bail-out
-        if (done < instructions && config_.checkpoint.enabled()) {
-            drain(max_cycles);
-            checkpoint_boundary(done, instructions, warmup,
-                                [&](ckpt::writer& w) {
-                                    ckpt::saver ar(w);
-                                    ar(done);
-                                    ar(totals);
-                                });
-        }
-    }
-    checkpoint_complete();
-    const double host_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      host_start)
-            .count();
-
-    run_result r;
-    r.config_name = config_.name;
-    r.workload_name = streams_.front()->profile().name;
-    r.floating_point = streams_.front()->profile().floating_point;
-    r.instructions = totals.instructions;
-    r.cycles = totals.cycles;
-    r.ipc = r.cycles == 0 ? 0.0 : double(r.instructions) / double(r.cycles);
-    r.host_seconds = host_seconds;
-    r.sim_cycles_per_second =
-        host_seconds > 0.0 ? double(r.cycles) / host_seconds : 0.0;
-    r.sim_instructions_per_second =
-        host_seconds > 0.0 ? double(r.instructions) / host_seconds : 0.0;
-
-    apply_totals(r, totals);
-    return r;
-}
-
 // ---------------------------------------------------------------------------
-// CMP execution: run every core to its committed-instruction target under
-// full detail, derive per-core IPC from each core's own finish cycle
-// (schedule-independent: recorded at the committing tick), and aggregate
-// the shared-level deltas exactly like the single-core harvest.
-// ---------------------------------------------------------------------------
-
-run_result system::run_cmp(std::uint64_t instructions, std::uint64_t warmup)
-{
-    const cycle_t max_cycles =
-        600 * (instructions + warmup) + 2'000'000;
-    const std::size_t n_cores = cores_.size();
-    const auto all_done = [&] {
-        for (const auto& core : cores_)
-            if (!core->done())
-                return false;
-        return true;
-    };
-
-    // Progress state for the `driver` checkpoint section: per-lane cursor,
-    // accumulated measurement totals, per-core instruction/cycle sums and
-    // the wall-cycle sum. One chunk covering the whole run reproduces the
-    // pre-checkpoint arithmetic exactly (per-core cycles are measured from
-    // each core's own committing tick relative to the segment start).
-    window_totals totals;
-    std::uint64_t done = 0;
-    std::uint64_t wall_cycles = 0;
-    std::vector<std::uint64_t> core_instr(n_cores, 0);
-    std::vector<std::uint64_t> core_cycles(n_cores, 0);
-
-    const bool restored =
-        try_load_checkpoint(instructions, warmup, [&](ckpt::reader& r) {
-            ckpt::loader ar(r);
-            ar(done);
-            ar(wall_cycles);
-            ar(core_instr);
-            ar(core_cycles);
-            ar(totals);
-        });
-    if (restored) {
-        ckpt_last_save_ = done;
-    } else {
-        // Warm-up: every core runs its warm-up quota; early finishers idle
-        // (standard fixed-instruction multiprogrammed methodology). Not
-        // checkpointed - a kill during warm-up restarts cold.
-        for (auto& core : cores_)
-            core->set_instruction_limit(warmup);
-        engine_.run_until(all_done, max_cycles);
-    }
-
-    const auto host_start = std::chrono::steady_clock::now();
-    const std::uint64_t chunk_size =
-        config_.checkpoint.enabled() ? config_.checkpoint.every : 0;
-    bool ceiling_hit = false;
-    // `first` keeps the degenerate zero-instruction run on the historical
-    // path: one empty measured segment, not zero segments.
-    bool first = !restored;
-    while (first || (done < instructions && !ceiling_hit)) {
-        first = false;
-        const std::uint64_t chunk =
-            chunk_size == 0 ? instructions - done
-                            : std::min(chunk_size, instructions - done);
-        const cycle_t seg_start = engine_.now();
-        detailed_segment(chunk, max_cycles, &totals);
-        cycle_t last_finish = seg_start;
-        for (std::size_t i = 0; i < n_cores; ++i) {
-            // Per-core cycles from each core's own finish cycle
-            // (schedule-independent: recorded at the committing tick).
-            const cycle_t fin = cores_[i]->finished_at() == no_cycle
-                                    ? engine_.now()
-                                    : cores_[i]->finished_at();
-            last_finish = std::max(last_finish, fin);
-            core_instr[i] += cores_[i]->committed();
-            core_cycles[i] += fin + 1 - seg_start;
-            ceiling_hit = ceiling_hit || cores_[i]->committed() < chunk;
-        }
-        wall_cycles += last_finish + 1 - seg_start;
-        done += chunk;
-        if (ceiling_hit)
-            LNUCA_WARN("CMP measurement hit the cycle ceiling before every "
-                       "core committed ", chunk, " instructions");
-        else if (done < instructions && config_.checkpoint.enabled()) {
-            drain(max_cycles);
-            checkpoint_boundary(done, instructions, warmup,
-                                [&](ckpt::writer& w) {
-                                    ckpt::saver ar(w);
-                                    ar(done);
-                                    ar(wall_cycles);
-                                    ar(core_instr);
-                                    ar(core_cycles);
-                                    ar(totals);
-                                });
-        }
-    }
-    checkpoint_complete();
-    const double host_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      host_start)
-            .count();
-
-    run_result r;
-    r.config_name = config_.name;
-    r.floating_point = streams_.front()->profile().floating_point;
-    r.cores = std::uint32_t(n_cores);
-
-    // Workload label: the mix's distinct names, first-appearance order.
-    std::vector<std::string> seen;
-    for (const auto& stream : streams_) {
-        const std::string& name = stream->profile().name;
-        if (std::find(seen.begin(), seen.end(), name) == seen.end())
-            seen.push_back(name);
-    }
-    r.workload_name = seen.front();
-    for (std::size_t i = 1; i < seen.size(); ++i)
-        r.workload_name += "+" + seen[i];
-
-    for (std::size_t i = 0; i < n_cores; ++i) {
-        r.per_core_ipc.push_back(core_cycles[i] == 0
-                                     ? 0.0
-                                     : double(core_instr[i]) /
-                                           double(core_cycles[i]));
-        r.instructions += core_instr[i];
-    }
-    r.cycles = wall_cycles;
-    r.ipc = r.cycles == 0 ? 0.0 : double(r.instructions) / double(r.cycles);
-    r.host_seconds = host_seconds;
-    r.sim_cycles_per_second =
-        host_seconds > 0.0 ? double(r.cycles) / host_seconds : 0.0;
-    r.sim_instructions_per_second =
-        host_seconds > 0.0 ? double(r.instructions) / host_seconds : 0.0;
-
-    apply_totals(r, totals);
-    return r;
-}
-
-// ---------------------------------------------------------------------------
-// Sampled execution (SMARTS-style): functional fast-forward punctuated by
-// periodically placed detailed windows. See DESIGN.md, "Sampling and
-// statistical confidence".
+// Phase primitives: quiescence, drain, functional fast-forward and the
+// detailed segment. Sampled execution is SMARTS-style; see DESIGN.md,
+// "Sampling and statistical confidence".
 // ---------------------------------------------------------------------------
 
 bool system::quiescent() const
@@ -1177,43 +922,14 @@ bool system::quiescent() const
            (!dnuca_ || dnuca_->quiescent()) && memory_->quiescent();
 }
 
-void system::drain(cycle_t max_cycles)
+void system::drain(cycle_t max_cycles, const char* phase)
 {
     if (!engine_.run_until([&] { return quiescent(); }, max_cycles))
-        LNUCA_WARN("sampled run: hierarchy failed to drain within ",
-                   max_cycles, " cycles; fast-forwarding anyway");
+        LNUCA_WARN(phase, ": hierarchy failed to drain within ", max_cycles,
+                   " cycles; continuing anyway");
 }
 
-void system::fast_forward(std::uint64_t count)
-{
-    if (count == 0)
-        return;
-    if (cores_.size() == 1) {
-        cores_.front()->warm_retire(count);
-    } else {
-        // Round-robin functional retirement in small chunks so the lanes'
-        // warm accesses interleave at a fine grain: coherence behaviour
-        // (invalidations, downgrades, cache-to-cache migration) depends on
-        // the interleave, and retiring whole lanes back-to-back would let
-        // one lane monopolise every contended line before the next starts.
-        constexpr std::uint64_t chunk = 64;
-        for (std::uint64_t done = 0; done < count; done += chunk) {
-            const std::uint64_t n = std::min(chunk, count - done);
-            for (auto& core : cores_)
-                core->warm_retire(n);
-        }
-        // The warm MESI transitions must leave the directory sound after
-        // every functional segment; paranoid runs assert it.
-        if (hub_ && config_.engine_mode == sim::schedule_mode::paranoid)
-            hub_->check_invariants();
-    }
-    // The clock advances at a nominal CPI of 1: reported cycles come from
-    // the window estimate, so the rate only keeps timestamps monotone.
-    engine_.advance(count);
-}
-
-void system::fast_forward_rated(std::uint64_t count,
-                                const std::vector<double>& rates)
+void system::fast_forward(std::uint64_t count, const std::vector<double>& rates)
 {
     if (count == 0)
         return;
@@ -1221,6 +937,7 @@ void system::fast_forward_rated(std::uint64_t count,
     // to the mean so sum(quota) == count * cores: the aggregate accounting
     // (retired instructions, clock advance) is unchanged while the lane
     // *positions* drift apart exactly as they do under the dense schedule.
+    // With one lane, or with equal rates, every share is exactly 1.0.
     const std::size_t n_cores = cores_.size();
     double sum = 0.0;
     for (const double r : rates)
@@ -1231,8 +948,11 @@ void system::fast_forward_rated(std::uint64_t count,
         const double share =
             std::max(rates[i], 1e-6) * double(n_cores) / sum;
         remaining[i] = std::uint64_t(std::llround(double(count) * share));
-        // Fine-grained proportional interleave (see fast_forward): each
-        // round hands lane i ~64 * share instructions.
+        // Round-robin retirement in ~64 * share chunks so the lanes' warm
+        // accesses interleave at a fine grain: coherence behaviour
+        // (invalidations, downgrades, cache-to-cache migration) depends on
+        // the interleave, and retiring whole lanes back-to-back would let
+        // one lane monopolise every contended line before the next starts.
         chunk[i] = std::max<std::uint64_t>(
             1, std::uint64_t(std::llround(64.0 * share)));
     }
@@ -1248,19 +968,20 @@ void system::fast_forward_rated(std::uint64_t count,
             any = any || remaining[i] > 0;
         }
     }
+    // The warm MESI transitions must leave the directory sound after every
+    // functional segment; paranoid runs assert it.
     if (hub_ && config_.engine_mode == sim::schedule_mode::paranoid)
         hub_->check_invariants();
+    // The clock advances at a nominal CPI of 1: reported cycles come from
+    // the window estimate, so the rate only keeps timestamps monotone.
     engine_.advance(count);
 }
 
 void system::detailed_segment(std::uint64_t instructions, cycle_t max_cycles,
                               window_totals* totals)
 {
-    // One implementation for both drivers: with a single core this is
-    // byte-for-byte the original single-core segment; with several, every
-    // lane gets the same committed-instruction quota and the window CPI is
-    // the aggregate (total instructions over wall cycles), matching
-    // run_cmp's aggregate-IPC convention.
+    // Every lane gets the same committed-instruction quota and the segment
+    // CPI is the aggregate (total instructions over wall cycles).
     const auto all_done = [&] {
         for (const auto& core : cores_)
             if (!core->done())
@@ -1302,268 +1023,67 @@ void system::detailed_segment(std::uint64_t instructions, cycle_t max_cycles,
         harvest_core(*core, *totals);
 }
 
-run_result system::run_sampled(std::uint64_t instructions, std::uint64_t warmup)
+// ---------------------------------------------------------------------------
+// The run driver. One loop serves both plans and every core count (a
+// single-core system is the n = 1 case of the CMP wiring):
+//   exact    measures checkpoint-sized chunks under full detail - one chunk
+//            covering the whole run unless checkpoint.every cuts it;
+//   sampled  places one detailed window per period: fast-forward ->
+//            detailed warm-up -> measured window -> drain -> fast-forward
+//            to the end of the period.
+// Each measured segment gets the same per-core accounting, each segment
+// boundary the same checkpoint call, and both plans the same result tail.
+// ---------------------------------------------------------------------------
+
+run_result system::run(std::uint64_t instructions, std::uint64_t warmup)
 {
-    cpu::ooo_core* core = cores_.front().get();
+    const std::size_t n_cores = cores_.size();
     const sampling_config& sc = config_.sampling;
-    const auto host_start = std::chrono::steady_clock::now();
-    // Generous per-segment ceiling: segments are short, runaways are bugs.
-    const cycle_t segment_budget =
-        400 * (sc.detail_instructions + sc.detail_warmup) + 2'000'000;
+    // A zero-instruction request has no windows to place; the exact plan
+    // measures it as one empty segment.
+    const bool sampled = sc.enabled && instructions > 0;
+    // Generous cycle ceiling: runaways are bugs, and contended CMP lanes
+    // run slower than a lone core.
+    const auto ceiling = [](std::uint64_t n) {
+        return cycle_t(600 * n + 2'000'000);
+    };
 
-    const std::uint64_t detail =
-        std::min(std::max<std::uint64_t>(sc.detail_instructions, 1),
-                 std::max<std::uint64_t>(instructions, 1));
-    const std::uint64_t window_warmup =
-        std::min(sc.detail_warmup,
-                 instructions > detail ? instructions - detail : 0);
-    const std::uint64_t period =
-        std::max(sc.period_instructions, detail + window_warmup);
-    const std::uint64_t windows =
-        std::max<std::uint64_t>(1, instructions / period);
-    const std::uint64_t base_span = std::max<std::uint64_t>(
-        instructions / windows, detail + window_warmup);
+    // Exact plan: segments of at most `chunk` per-lane instructions.
+    const std::uint64_t chunk =
+        config_.checkpoint.enabled() ? config_.checkpoint.every : instructions;
+    // Sampled plan: `windows` spans of `base_span` per-lane instructions
+    // (the last takes the remainder), each measuring `detail` instructions
+    // after `window_warmup` detailed warm-up ones at a random offset.
+    std::uint64_t detail = 0, window_warmup = 0, windows = 0, base_span = 0;
+    cycle_t budget = ceiling(instructions + warmup);
+    if (sampled) {
+        detail = std::min(std::max<std::uint64_t>(sc.detail_instructions, 1),
+                          instructions);
+        window_warmup = std::min(sc.detail_warmup, instructions - detail);
+        const std::uint64_t period =
+            std::max(sc.period_instructions, detail + window_warmup);
+        windows = std::max<std::uint64_t>(1, instructions / period);
+        base_span = std::max(instructions / windows, detail + window_warmup);
+        budget = ceiling(sc.detail_instructions + sc.detail_warmup);
+    }
 
+    progress p;
     // Deterministic systematic placement: each window sits at an
     // independent random offset within its period, derived from the run
     // seed alone - thread count and shard layout cannot move a window.
-    rng placement(rng::split(seed_, 0x5a3b11d6ULL, windows, 0));
-
-    // Driver checkpoint state: next window index, retired cursor, totals
-    // and the placement rng (already advanced past the restored windows).
-    window_totals totals;
-    std::uint64_t retired = 0;
-    std::uint64_t first_window = 0;
-
-    const bool restored =
-        try_load_checkpoint(instructions, warmup, [&](ckpt::reader& r) {
-            ckpt::loader ar(r);
-            ar(first_window);
-            ar(retired);
-            ar(placement);
-            ar(totals);
-        });
-    if (restored)
-        ckpt_last_save_ = retired;
-    else
-        // The run-level warm-up executes functionally: large-structure
-        // warmth comes from prewarm() plus the warm_access() path, timing
-        // warmth from each window's detailed warm-up segment.
-        fast_forward(warmup);
-
-    for (std::uint64_t k = first_window; k < windows; ++k) {
-        const std::uint64_t span = k + 1 == windows
-                                       ? instructions - (windows - 1) * base_span
-                                       : base_span;
-        const std::uint64_t slack = span - detail - window_warmup;
-        const std::uint64_t offset = placement.below(slack + 1);
-
-        fast_forward(offset);
-        std::uint64_t used = offset;
-        if (window_warmup > 0) {
-            detailed_segment(window_warmup, segment_budget, nullptr);
-            used += core->committed();
-        }
-        detailed_segment(detail, segment_budget, &totals);
-        used += core->committed();
-        drain(segment_budget);
-        fast_forward(span > used ? span - used : 0);
-        retired += std::max(span, used);
-
-        // Window boundaries are already quiescent (drain + functional
-        // fast-forward), so the sampled snapshot costs no extra drain and
-        // perturbs nothing.
-        if (k + 1 < windows)
-            checkpoint_boundary(retired, instructions, warmup,
-                                [&, k](ckpt::writer& w) {
-                                    ckpt::saver ar(w);
-                                    std::uint64_t next = k + 1;
-                                    ar(next);
-                                    ar(retired);
-                                    ar(placement);
-                                    ar(totals);
-                                });
-    }
-    checkpoint_complete();
-
-    const double host_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      host_start)
-            .count();
-
-    run_result r;
-    r.config_name = config_.name;
-    r.workload_name = streams_.front()->profile().name;
-    r.floating_point = streams_.front()->profile().floating_point;
-    assemble_sampled(r, totals, retired, host_seconds);
-    return r;
-}
-
-void system::assemble_sampled(run_result& r, const window_totals& totals,
-                              std::uint64_t retired,
-                              double host_seconds) const
-{
-    // Point estimate and confidence interval. Windows are (near) equal
-    // size, so the run's CPI estimate is the plain mean of per-window CPI;
-    // the 95% CI uses the normal approximation (SMARTS' large-n regime) and
-    // transforms to IPC with the delta method.
-    const std::size_t n = totals.window_cpi.size();
-    double mean_cpi = 0.0;
-    for (const double cpi : totals.window_cpi)
-        mean_cpi += cpi;
-    mean_cpi = n == 0 ? 0.0 : mean_cpi / double(n);
-    double ci_cpi = 0.0;
-    if (n >= 2) {
-        double ss = 0.0;
-        for (const double cpi : totals.window_cpi)
-            ss += (cpi - mean_cpi) * (cpi - mean_cpi);
-        const double stddev = std::sqrt(ss / double(n - 1));
-        ci_cpi = 1.96 * stddev / std::sqrt(double(n));
-    }
-
-    r.sampled = true;
-    r.sampled_windows = n;
-    r.measured_instructions = totals.instructions;
-    r.instructions = retired;
-    r.ipc = mean_cpi > 0.0 ? 1.0 / mean_cpi : 0.0;
-    r.ipc_ci95 = mean_cpi > 0.0 ? ci_cpi / (mean_cpi * mean_cpi) : 0.0;
-    r.cycles = cycle_t(std::llround(double(retired) * mean_cpi));
-    r.host_seconds = host_seconds;
-    r.sim_cycles_per_second =
-        host_seconds > 0.0 ? double(r.cycles) / host_seconds : 0.0;
-    r.sim_instructions_per_second =
-        host_seconds > 0.0 ? double(r.instructions) / host_seconds : 0.0;
-
-    // Extrapolate measured event counts to the whole run.
-    const double factor = totals.instructions == 0
-                              ? 0.0
-                              : double(retired) / double(totals.instructions);
-    const auto scaled = [factor](std::uint64_t v) {
-        return std::uint64_t(std::llround(double(v) * factor));
+    p.placement = rng(rng::split(seed_, 0x5a3b11d6ULL, windows, 0));
+    p.core_instr.assign(n_cores, 0);
+    p.core_cycles.assign(n_cores, 0);
+    p.rates.assign(n_cores, 1.0);
+    const auto more = [&] {
+        return sampled ? p.next < windows
+                       : p.next == 0 || p.retired < instructions;
     };
-    r.l2_read_hits = scaled(totals.l2_read_hits);
-    if (fabric_) {
-        r.fabric_read_hits.assign(config_.fabric.levels + 1, 0);
-        for (unsigned level = 2; level <= config_.fabric.levels; ++level)
-            r.fabric_read_hits[level] =
-                level < totals.fabric_read_hits.size()
-                    ? scaled(totals.fabric_read_hits[level])
-                    : 0;
-    }
-    r.transport_actual = scaled(totals.transport_actual);
-    r.transport_min = scaled(totals.transport_min);
-    r.search_restarts = scaled(totals.search_restarts);
-    r.searches = scaled(totals.searches);
-    r.loads_l1 = scaled(totals.loads_l1);
-    r.loads_fabric = scaled(totals.loads_fabric);
-    r.loads_l2 = scaled(totals.loads_l2);
-    r.loads_l3 = scaled(totals.loads_l3);
-    r.loads_dnuca = scaled(totals.loads_dnuca);
-    r.loads_memory = scaled(totals.loads_memory);
-    r.loads_peer = scaled(totals.loads_peer);
-    r.avg_load_latency =
-        totals.load_latency_count == 0
-            ? 0.0
-            : totals.load_latency_weighted / double(totals.load_latency_count);
-
-    power::energy_inputs in = totals.energy;
-    in.cycles = r.cycles;
-    in.l1_accesses = scaled(in.l1_accesses);
-    in.l2_accesses = scaled(in.l2_accesses);
-    in.tile_tag_lookups = scaled(in.tile_tag_lookups);
-    in.tile_data_accesses = scaled(in.tile_data_accesses);
-    in.transport_hops = scaled(in.transport_hops);
-    in.replacement_hops = scaled(in.replacement_hops);
-    in.search_hops = scaled(in.search_hops);
-    in.l3_accesses = scaled(in.l3_accesses);
-    in.bank_accesses = scaled(in.bank_accesses);
-    in.dnuca_flit_hops = scaled(in.dnuca_flit_hops);
-    in.memory_transfers = scaled(in.memory_transfers);
-    r.energy = power::compute_energy(in);
-}
-
-run_result system::run_cmp_sampled(std::uint64_t instructions,
-                                   std::uint64_t warmup)
-{
-    // Sampled fast-forward is only coherence-correct through the hub's
-    // warm MESI path: without it, functional retirement would desync the
-    // private L1s' permission state from the directory.
-    if (!hub_)
-        throw std::runtime_error(
-            "sampled CMP execution requires the coherence hub; this "
-            "hierarchy cannot honor the CMP warm_access contract "
-            "(run with --sampling off)");
-    for (const auto& l1 : l1s_)
-        if (!l1->config().coherent)
-            throw std::runtime_error(
-                "sampled CMP execution requires coherent private L1s; "
-                "this hierarchy cannot honor the CMP warm_access contract "
-                "(run with --sampling off)");
-
-    const sampling_config& sc = config_.sampling;
-    const auto host_start = std::chrono::steady_clock::now();
-    // Same generous per-segment ceiling as run_cmp's (contended lanes run
-    // slower than a lone core, so the single-core 400 factor is too tight).
-    const cycle_t segment_budget =
-        600 * (sc.detail_instructions + sc.detail_warmup) + 2'000'000;
-
-    // Window arithmetic is per lane - every core retires `instructions` -
-    // and identical to run_sampled's, so the single-core and CMP drivers
-    // place windows the same way for the same spec.
-    const std::uint64_t detail =
-        std::min(std::max<std::uint64_t>(sc.detail_instructions, 1),
-                 std::max<std::uint64_t>(instructions, 1));
-    const std::uint64_t window_warmup =
-        std::min(sc.detail_warmup,
-                 instructions > detail ? instructions - detail : 0);
-    const std::uint64_t period =
-        std::max(sc.period_instructions, detail + window_warmup);
-    const std::uint64_t windows =
-        std::max<std::uint64_t>(1, instructions / period);
-    const std::uint64_t base_span = std::max<std::uint64_t>(
-        instructions / windows, detail + window_warmup);
-
-    rng placement(rng::split(seed_, 0x5a3b11d6ULL, windows, 0));
-
-    const std::size_t n_cores = cores_.size();
-    window_totals totals;
-    std::uint64_t retired_per_lane = 0;
-    std::uint64_t first_window = 0;
-    std::vector<std::uint64_t> core_instr(n_cores, 0);
-    std::vector<std::uint64_t> core_cycles(n_cores, 0);
-    // Per-lane retirement rate measured in the most recent detailed
-    // window, fed back into the fast-forward (see fast_forward_rated):
-    // dense CMP execution lets fast lanes drift ahead of slow ones, and
-    // sharing-heavy lane sets (producer/consumer hand-offs) see a very
-    // different coherence pattern at zero lag than at the dense lag. The
-    // first fast-forward runs in lockstep (no measurement yet).
-    std::vector<double> rates(n_cores, 1.0);
-    bool rates_known = false;
-
-    const bool restored =
-        try_load_checkpoint(instructions, warmup, [&](ckpt::reader& r) {
-            ckpt::loader ar(r);
-            ar(first_window);
-            ar(retired_per_lane);
-            ar(placement);
-            ar(core_instr);
-            ar(core_cycles);
-            ar(rates);
-            ar(rates_known);
-            ar(totals);
-        });
-    if (restored)
-        ckpt_last_save_ = retired_per_lane;
-    else
-        // Run-level warm-up executes functionally on every lane (see
-        // fast_forward: round-robin chunks through the warm MESI path).
-        fast_forward(warmup);
-
-    const auto ff = [&](std::uint64_t count) {
-        if (rates_known)
-            fast_forward_rated(count, rates);
-        else
-            fast_forward(count);
+    const auto all_done = [&] {
+        for (const auto& core : cores_)
+            if (!core->done())
+                return false;
+        return true;
     };
     const auto max_committed = [&] {
         std::uint64_t m = 0;
@@ -1572,77 +1092,86 @@ run_result system::run_cmp_sampled(std::uint64_t instructions,
         return m;
     };
 
-    for (std::uint64_t k = first_window; k < windows; ++k) {
-        const std::uint64_t span = k + 1 == windows
-                                       ? instructions - (windows - 1) * base_span
-                                       : base_span;
-        const std::uint64_t slack = span - detail - window_warmup;
-        const std::uint64_t offset = placement.below(slack + 1);
+    // Warm-up. Not checkpointed: a kill during warm-up restarts cold.
+    if (try_load_checkpoint(instructions, warmup, p)) {
+        ckpt_last_save_ = p.retired;
+    } else if (sampled) {
+        // Functional: large-structure warmth comes from prewarm() plus the
+        // warm_access() path, timing warmth from each window's detailed
+        // warm-up.
+        fast_forward(warmup, p.rates);
+    } else {
+        // Timed: every core runs its quota and early finishers idle (the
+        // fixed-instruction multiprogrammed methodology).
+        for (auto& core : cores_)
+            core->set_instruction_limit(warmup);
+        engine_.run_until(all_done, budget);
+    }
 
-
-        ff(offset);
-        // `used` tracks the furthest lane's position inside the window;
-        // slower lanes drift a few instructions behind the nominal
-        // placement, which the estimate absorbs (sampling is statistical).
-        std::uint64_t used = offset;
-        if (window_warmup > 0) {
-            detailed_segment(window_warmup, segment_budget, nullptr);
-            used += max_committed();
+    const auto host_start = std::chrono::steady_clock::now();
+    while (more()) {
+        std::uint64_t span = std::min(chunk, instructions - p.retired);
+        std::uint64_t used = 0; // the furthest lane's position in the span
+        if (sampled) {
+            span = p.next + 1 < windows
+                       ? base_span
+                       : instructions - (windows - 1) * base_span;
+            used = p.placement.below(span - detail - window_warmup + 1);
+            fast_forward(used, p.rates);
+            if (window_warmup > 0) {
+                detailed_segment(window_warmup, budget, nullptr);
+                used += max_committed();
+            }
         }
+        const std::uint64_t measured = sampled ? detail : span;
         const cycle_t seg_start = engine_.now();
-        detailed_segment(detail, segment_budget, &totals);
+        detailed_segment(measured, budget, &p.totals);
+        bool ceiling_hit = false;
         for (std::size_t i = 0; i < n_cores; ++i) {
-            // Per-core cycles from each core's own finish cycle, exactly
-            // like run_cmp: early finishers stop accruing.
+            // Per-core cycles run to each core's own finish cycle (recorded
+            // at the committing tick, so schedule-independent): early
+            // finishers stop accruing.
+            const std::uint64_t committed = cores_[i]->committed();
             const cycle_t fin = cores_[i]->finished_at() == no_cycle
                                     ? engine_.now()
                                     : cores_[i]->finished_at();
-            core_instr[i] += cores_[i]->committed();
-            core_cycles[i] += fin + 1 - seg_start;
-            const cycle_t window_cycles = fin + 1 - seg_start;
-            rates[i] = window_cycles == 0
-                           ? 1.0
-                           : double(cores_[i]->committed()) /
-                                 double(window_cycles);
+            const cycle_t cycles = fin + 1 - seg_start;
+            p.core_instr[i] += committed;
+            p.core_cycles[i] += cycles;
+            p.rates[i] =
+                cycles == 0 ? 1.0 : double(committed) / double(cycles);
+            ceiling_hit = ceiling_hit || committed < measured;
         }
-        rates_known = true;
         used += max_committed();
-        drain(segment_budget);
-        ff(span > used ? span - used : 0);
-        retired_per_lane += std::max(span, used);
+        // An exact chunk cut short by the ceiling ends the measurement; a
+        // short sampled window is one sample among many.
+        if (ceiling_hit && !sampled)
+            break;
+        // A lone core's overshoot past its exact chunk shortens the next
+        // chunk; CMP lanes keep the nominal chunk grid.
+        p.retired += sampled || n_cores == 1 ? std::max(span, used) : span;
+        ++p.next;
 
-        // Quiescent window boundary; cadence runs on the per-lane cursor
-        // (checkpoint.every is per-lane instructions, like run_cmp's
-        // chunks).
-        if (k + 1 < windows)
-            checkpoint_boundary(retired_per_lane, instructions, warmup,
-                                [&, k](ckpt::writer& w) {
-                                    ckpt::saver ar(w);
-                                    std::uint64_t next = k + 1;
-                                    ar(next);
-                                    ar(retired_per_lane);
-                                    ar(placement);
-                                    ar(core_instr);
-                                    ar(core_cycles);
-                                    ar(rates);
-                                    ar(rates_known);
-                                    ar(totals);
-                                });
+        // Fast-forwards and snapshots both need a quiescent hierarchy.
+        if (sampled || more())
+            drain(budget, sampled ? "sampled window" : "checkpoint chunk");
+        if (sampled)
+            fast_forward(span > used ? span - used : 0, p.rates);
+        if (more())
+            checkpoint_boundary(instructions, warmup, p);
     }
     checkpoint_complete();
-
     const double host_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       host_start)
             .count();
 
+    const window_totals& totals = p.totals;
     run_result r;
     r.config_name = config_.name;
     r.floating_point = streams_.front()->profile().floating_point;
     r.cores = std::uint32_t(n_cores);
-
-    // Workload label: the mix's distinct names, first-appearance order
-    // (same convention as run_cmp).
+    // Workload label: the mix's distinct names, first-appearance order.
     std::vector<std::string> seen;
     for (const auto& stream : streams_) {
         const std::string& name = stream->profile().name;
@@ -1652,16 +1181,56 @@ run_result system::run_cmp_sampled(std::uint64_t instructions,
     r.workload_name = seen.front();
     for (std::size_t i = 1; i < seen.size(); ++i)
         r.workload_name += "+" + seen[i];
+    // Single-core rows keep per_core_ipc empty (the pre-CMP row format).
+    if (n_cores > 1)
+        for (std::size_t i = 0; i < n_cores; ++i)
+            r.per_core_ipc.push_back(p.core_cycles[i] == 0
+                                         ? 0.0
+                                         : double(p.core_instr[i]) /
+                                               double(p.core_cycles[i]));
 
-    // The window CPI series is aggregate (total instructions over wall
-    // cycles), so the assembled ipc/cycles estimate run_cmp's aggregate
-    // IPC and wall cycles for the whole-run lane length.
-    assemble_sampled(r, totals, retired_per_lane * n_cores, host_seconds);
-    for (std::size_t i = 0; i < n_cores; ++i)
-        r.per_core_ipc.push_back(core_cycles[i] == 0
-                                     ? 0.0
-                                     : double(core_instr[i]) /
-                                           double(core_cycles[i]));
+    double factor = 1.0;
+    if (sampled) {
+        // Windows are (near) equal size, so the run's CPI estimate is the
+        // plain mean of per-window CPI; the 95% CI uses the normal
+        // approximation (SMARTS' large-n regime) and transforms to IPC with
+        // the delta method. The window CPI is aggregate over the lanes, so
+        // the estimate extrapolates to every lane's whole span.
+        const std::size_t n = totals.window_cpi.size();
+        double mean_cpi = 0.0;
+        for (const double cpi : totals.window_cpi)
+            mean_cpi += cpi;
+        mean_cpi = n == 0 ? 0.0 : mean_cpi / double(n);
+        double ci_cpi = 0.0;
+        if (n >= 2) {
+            double ss = 0.0;
+            for (const double cpi : totals.window_cpi)
+                ss += (cpi - mean_cpi) * (cpi - mean_cpi);
+            const double stddev = std::sqrt(ss / double(n - 1));
+            ci_cpi = 1.96 * stddev / std::sqrt(double(n));
+        }
+        r.sampled = true;
+        r.sampled_windows = n;
+        r.measured_instructions = totals.instructions;
+        r.instructions = p.retired * n_cores;
+        r.ipc = mean_cpi > 0.0 ? 1.0 / mean_cpi : 0.0;
+        r.ipc_ci95 = mean_cpi > 0.0 ? ci_cpi / (mean_cpi * mean_cpi) : 0.0;
+        r.cycles = cycle_t(std::llround(double(r.instructions) * mean_cpi));
+        factor = totals.instructions == 0
+                     ? 0.0
+                     : double(r.instructions) / double(totals.instructions);
+    } else {
+        r.instructions = totals.instructions;
+        r.cycles = totals.cycles;
+        r.ipc =
+            r.cycles == 0 ? 0.0 : double(r.instructions) / double(r.cycles);
+    }
+    r.host_seconds = host_seconds;
+    r.sim_cycles_per_second =
+        host_seconds > 0.0 ? double(r.cycles) / host_seconds : 0.0;
+    r.sim_instructions_per_second =
+        host_seconds > 0.0 ? double(r.instructions) / host_seconds : 0.0;
+    apply_totals(r, totals, factor);
     return r;
 }
 

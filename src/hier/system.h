@@ -2,6 +2,7 @@
 // run driver (warm-up, measurement window, statistics harvesting).
 #pragma once
 
+#include "src/ckpt/format.h"
 #include "src/coh/coherence_hub.h"
 #include "src/cpu/ooo_core.h"
 #include "src/dnuca/dnuca_cache.h"
@@ -14,7 +15,6 @@
 #include "src/sim/engine.h"
 #include "src/workloads/synthetic.h"
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -152,15 +152,14 @@ public:
     /// Writes the capture file (config.capture_path), if one was recorded.
     ~system();
 
-    /// Run `warmup` instructions (discarded), then `instructions` measured.
-    /// When config.sampling.enabled, the measured span executes as
-    /// fast-forward + periodic detailed windows and the result carries
+    /// Run `warmup` instructions (discarded), then `instructions` measured,
+    /// per core. When config.sampling.enabled, the measured span executes
+    /// as fast-forward + periodic detailed windows and the result carries
     /// statistical estimates (run_result::sampled). CMP runs (cores > 1)
     /// sample too: functional retirement round-robins across the lanes and
-    /// the coherence hub applies warm MESI transitions, so directory and
-    /// L1 permission state stay exact across fast-forward (requires the
-    /// coherence hub - a hierarchy without one cannot honor the CMP warm
-    /// contract and run() throws).
+    /// the coherence hub (always present with more than one core) applies
+    /// warm MESI transitions, so directory and L1 permission state stay
+    /// exact across fast-forward.
     run_result run(std::uint64_t instructions, std::uint64_t warmup);
 
     unsigned cores() const { return unsigned(cores_.size()); }
@@ -180,6 +179,7 @@ public:
 private:
     struct window_totals;
     struct level_snapshot;
+    struct progress;
 
     /// Which shared-level components this hierarchy kind carries.
     struct level_set {
@@ -205,69 +205,66 @@ private:
     /// the coherence hub) and return its entry port. Registers memory.
     mem::mem_port* wire_shared_level(mem::mem_client* above);
     void prewarm();
-    run_result run_cmp(std::uint64_t instructions, std::uint64_t warmup);
-    run_result run_sampled(std::uint64_t instructions, std::uint64_t warmup);
-    /// Sampled CMP: run_sampled's window placement and statistics with
-    /// per-lane functional retirement (see fast_forward) and per-core IPC
-    /// measured inside the detailed windows.
-    run_result run_cmp_sampled(std::uint64_t instructions,
-                               std::uint64_t warmup);
-    /// Shared tail of the sampled drivers: mean-CPI point estimate +
-    /// delta-method 95% CI from the per-window series, extrapolation of the
-    /// measured event counts to `retired` instructions. Fills every
-    /// run_result field except the identity ones (names, cores,
-    /// per_core_ipc).
-    void assemble_sampled(run_result& r, const window_totals& totals,
-                          std::uint64_t retired, double host_seconds) const;
     /// All components idle (nothing in flight anywhere).
     bool quiescent() const;
-    /// Run detailed until quiescent (pre-fast-forward drain).
-    void drain(cycle_t max_cycles);
-    /// Fast-forward `count` instructions functionally and advance the clock.
-    void fast_forward(std::uint64_t count);
-    /// CMP fast-forward with rate matching: lane i advances by
+    /// Run detailed until quiescent (before a fast-forward or a snapshot);
+    /// `phase` names the caller in the timeout warning.
+    void drain(cycle_t max_cycles, const char* phase);
+    /// Fast-forward `count` instructions per lane functionally and advance
+    /// the clock. Rate matching: lane i advances by
     /// count * rates[i] / mean(rates) (mean-normalised, so the aggregate
     /// retirement still equals count * cores). Dense CMP execution lets
     /// fast lanes drift ahead of slow ones; feeding back the per-lane IPC
     /// measured in the previous detailed window reproduces that drift, so
     /// windows observe the same lane alignment (and hence the same
-    /// sharing/migration pattern) the dense reference reaches.
-    void fast_forward_rated(std::uint64_t count,
-                            const std::vector<double>& rates);
+    /// sharing/migration pattern) the dense reference reaches. Equal rates
+    /// (or one lane) retire in lockstep.
+    void fast_forward(std::uint64_t count, const std::vector<double>& rates);
     /// One detailed segment of `instructions`; when `totals` is non-null the
     /// segment is measured into it (otherwise it only re-warms timing state).
     void detailed_segment(std::uint64_t instructions, cycle_t max_cycles,
                           window_totals* totals);
-    // Counter-snapshot/harvest plumbing shared by the exact, sampled and
-    // CMP drivers (one implementation of the delta arithmetic each).
+    // Counter-snapshot/harvest plumbing (one implementation of the delta
+    // arithmetic for every measured segment).
     level_snapshot snap_levels() const;
     void harvest_levels(const level_snapshot& snap, window_totals& totals);
     void harvest_core(cpu::ooo_core& core, window_totals& totals) const;
     /// Copy the harvested totals (hit distribution, transport, load service
-    /// levels, latency, energy) into `r`; r.cycles must already be set.
-    void apply_totals(run_result& r, const window_totals& totals) const;
+    /// levels, latency, energy) into `r`, scaling every event count by
+    /// `factor` (1.0 for the exact plan, retired / measured instructions
+    /// for the sampled one); r.cycles must already be set.
+    void apply_totals(run_result& r, const window_totals& totals,
+                      double factor) const;
 
     // --- checkpoint/restore (src/ckpt/) --------------------------------
-    // The drivers call checkpoint_boundary() at every quiescent chunk or
+    // The driver calls checkpoint_boundary() at every quiescent chunk or
     // window boundary; save_checkpoint/try_load_checkpoint own the section
-    // layout (one section per component, see ckpt::section_id), while the
-    // driver-specific progress cursor travels through the save/load
-    // callbacks into the `driver` section.
+    // layout (one section per ckpt_components_ entry, see ckpt::section_id)
+    // and carry the driver's progress struct in the `driver` section.
+
+    /// One checkpointed component: its section, the name its state digest
+    /// goes by in the `digests` section, and the object whose state the
+    /// section holds.
+    struct ckpt_component {
+        ckpt::section_id section{};
+        std::uint32_t index = 0;
+        std::string name;
+        sim::ticked* state = nullptr;
+    };
+    /// Fill ckpt_components_ in the fixed section order: cores, L1s, hub,
+    /// bus, L2, L3, fabric, D-NUCA, memory (absent levels skipped).
+    void build_ckpt_components();
 
     /// Identity hash stored in the file header: config name/kind/cores,
     /// seed, engine mode, sampling spec, lane profiles and the major
     /// capacity parameters. A checkpoint from any other run is rejected
     /// before a single byte of state is restored.
     std::uint64_t ckpt_config_hash() const;
-    /// Component digest list in the fixed section order (save writes it
-    /// into the `digests` section; restore recomputes and compares).
-    std::vector<std::pair<std::string, std::uint64_t>> component_digests() const;
     /// Serialize the complete simulator state and atomically replace
     /// config_.checkpoint.path. Never throws: a failed save warns and the
     /// run it protects carries on.
     void save_checkpoint(std::uint64_t run_instructions,
-                         std::uint64_t run_warmup,
-                         const std::function<void(ckpt::writer&)>& driver_save);
+                         std::uint64_t run_warmup, const progress& p);
     /// Restore from config_.checkpoint.path when checkpoint.resume is set.
     /// Returns false on the normal cold starts (resume off, no file yet) and
     /// on any defect detected before state is touched (CRC, version, config
@@ -275,17 +272,14 @@ private:
     /// if the state was already partially loaded when a defect surfaced:
     /// the system is then unusable and the caller must rebuild it cold
     /// (exp::execute_job does).
-    bool try_load_checkpoint(
-        std::uint64_t run_instructions, std::uint64_t run_warmup,
-        const std::function<void(ckpt::reader&)>& driver_load);
-    /// Cadence/signal check at a quiescent boundary: saves when `retired`
+    bool try_load_checkpoint(std::uint64_t run_instructions,
+                             std::uint64_t run_warmup, progress& p);
+    /// Cadence/signal check at a quiescent boundary: saves when p.retired
     /// crossed checkpoint.every since the last save or a SIGTERM/SIGINT is
     /// latched, then fires the halt_after and LNUCA_CKPT_EXIT_AFTER test
     /// hooks and converts a latched signal into ckpt::interrupted.
-    void checkpoint_boundary(
-        std::uint64_t retired, std::uint64_t run_instructions,
-        std::uint64_t run_warmup,
-        const std::function<void(ckpt::writer&)>& driver_save);
+    void checkpoint_boundary(std::uint64_t run_instructions,
+                             std::uint64_t run_warmup, const progress& p);
     /// Successful completion: unlink the snapshot (a stale one would
     /// "resume" a finished run).
     void checkpoint_complete();
@@ -311,6 +305,7 @@ private:
     std::unique_ptr<dnuca::dnuca_cache> dnuca_;
     std::unique_ptr<mem::main_memory> memory_;
     sim::engine engine_;
+    std::vector<ckpt_component> ckpt_components_;
 
     // Checkpoint bookkeeping for the current run() invocation.
     std::uint64_t ckpt_last_save_ = 0; ///< retired cursor at the last save

@@ -27,7 +27,8 @@ struct scenario_params {
     unsigned phase_len = 32;
     /// Shared-region placement and extent. Every lane touches this region;
     /// overlap is the point - run it through a lane_spec with a common
-    /// region so run_cmp does not re-base it away.
+    /// region so the default disjoint per-core layout does not re-base it
+    /// away.
     addr_t shared_base = 0x70000000;
     std::uint64_t shared_blocks = 1024;
     /// Per-lane private working set (disjoint across lanes) the filler

@@ -465,6 +465,36 @@ TEST(run_app_options, bad_shard_is_a_cli_error_not_a_full_sweep)
     EXPECT_FALSE(parse_app_options(cli_args(3, good)).cli_error);
 }
 
+TEST(run_app_options, bad_engine_sampling_or_workload_is_a_cli_error)
+{
+    // A misspelled value must not silently run a different experiment
+    // (idle-skip instead of paranoid, exact instead of sampled, the default
+    // workload set instead of the named one). Each is a hard CLI error
+    // whose message names the flag.
+    const char* cases[][3] = {
+        {"bench", "--engine", "densee"},
+        {"bench", "--sampling", "periodic:2000"},
+        {"bench", "--sampling", "on"},
+        {"bench", "--workload", "429.mfc"},
+        {"bench", "--workload", "429.mcf,scenario:bogus"},
+    };
+    for (const auto& argv : cases) {
+        const app_options opt = parse_app_options(cli_args(3, argv));
+        EXPECT_TRUE(opt.cli_error) << argv[1] << " " << argv[2];
+        EXPECT_NE(opt.cli_error_text.find(argv[1]), std::string::npos)
+            << opt.cli_error_text;
+    }
+    const char* good[][3] = {
+        {"bench", "--engine", "paranoid"},
+        {"bench", "--sampling", "periodic:2000:40000"},
+        {"bench", "--sampling", "off"},
+        {"bench", "--workload", "429.mcf,scenario:ping_pong"},
+    };
+    for (const auto& argv : good)
+        EXPECT_FALSE(parse_app_options(cli_args(3, argv)).cli_error)
+            << argv[1] << " " << argv[2];
+}
+
 TEST(run_app_options, parses_fault_tolerance_flags)
 {
     const char* argv[] = {"bench",     "--timeout", "2.5",  "--retries",

@@ -303,5 +303,82 @@ TEST(run_matrix, parallel_matches_serial)
     EXPECT_EQ(matrix[1][0].ipc, serial.ipc);
 }
 
+// ---------------------------------------------------------------------------
+// Run-driver goldens: one pinned row per driver shape - exact and sampled,
+// one core and two, chunked by checkpoints, and the zero-instruction edge.
+// Each value is sim_fields_digest() of the row (its JSONL encoding with the
+// host-timing trio zeroed); a mismatch prints the label and the full line.
+// ---------------------------------------------------------------------------
+
+struct driver_golden {
+    const char* label;
+    system_config config;
+    /// 1: 429.mcf alone; 2: the 429.mcf + 456.hmmer mix.
+    unsigned cores;
+    std::uint64_t instructions;
+    /// checkpoint.every; 0 measures one segment.
+    std::uint64_t ckpt_every;
+    std::uint64_t digest;
+};
+
+run_result run_golden(const driver_golden& g)
+{
+    system_config config = g.cores > 1 ? presets::cmp(g.config, g.cores)
+                                       : g.config;
+    if (g.ckpt_every != 0) {
+        config.checkpoint.path =
+            ::testing::TempDir() + "lnuca_driver_golden.ckpt";
+        config.checkpoint.every = g.ckpt_every;
+    }
+    std::vector<wl::workload_profile> mix{*wl::find_spec2006("429.mcf")};
+    if (g.cores > 1)
+        mix.push_back(*wl::find_spec2006("456.hmmer"));
+    system sys(config, mix, 5);
+    return sys.run(g.instructions, 600);
+}
+
+system_config sampled(system_config config)
+{
+    config.sampling = *parse_sampling_spec("periodic:500:2000:200");
+    return config;
+}
+
+TEST(run_driver, rows_match_the_pinned_goldens)
+{
+    const system_config l2 = presets::l2_256kb();
+    const system_config ln3 = presets::lnuca_l3(3);
+    const system_config dn = presets::dnuca_4x8();
+    const system_config ln3dn = presets::lnuca_dnuca(3);
+    const driver_golden goldens[] = {
+        {"exact L2", l2, 1, 3000, 0, 0xe85337e721b2b482},
+        {"exact LN3", ln3, 1, 3000, 0, 0xf4351c77f4b40956},
+        {"exact DN", dn, 1, 3000, 0, 0xd9675feff9a2327f},
+        {"exact LN3+DN", ln3dn, 1, 3000, 0, 0x1cd6a33a3b72b26e},
+        {"exact cmp L2", l2, 2, 3000, 0, 0xf00f8d019c03168a},
+        {"exact cmp LN3", ln3, 2, 3000, 0, 0x457f1c9e4934cf9c},
+        {"chunked L2", l2, 1, 3000, 1000, 0xac31153158827c04},
+        {"chunked LN3", ln3, 1, 3000, 1000, 0x58feb7e92c6c9b31},
+        {"chunked DN", dn, 1, 3000, 1000, 0x1e1a21d595e3ebe9},
+        {"chunked LN3+DN", ln3dn, 1, 3000, 1000, 0x496ec7dce22eed5d},
+        {"chunked cmp L2", l2, 2, 3000, 1000, 0xc5c21641611c94c7},
+        {"chunked cmp LN3", ln3, 2, 3000, 1000, 0x76d6edc53fc2efe5},
+        {"sampled LN3", sampled(ln3), 1, 8000, 0, 0xee5f0c2cf0bf998e},
+        {"sampled cmp L2", sampled(l2), 2, 8000, 0, 0x7cc7e14168b09711},
+        {"sampled chunked LN3", sampled(ln3), 1, 8000, 2000,
+         0xee5f0c2cf0bf998e},
+        {"zero L2", l2, 1, 0, 0, 0x1292d93ec2eec329},
+        // Wall cycles are the engine's measured span for every core count:
+        // an empty CMP run reports 0 cycles and 0 J, as single-core always
+        // did (the per-mode driver reported 1 cycle, 0x7373f49b55669291).
+        {"zero cmp L2", l2, 2, 0, 0, 0x14f075d83f4f1dff},
+    };
+    for (const driver_golden& g : goldens) {
+        const run_result r = run_golden(g);
+        EXPECT_EQ(sim_fields_digest(r), g.digest)
+            << g.label << std::hex << ": 0x" << sim_fields_digest(r)
+            << std::dec << "\n" << sim_fields_line(r);
+    }
+}
+
 } // namespace
 } // namespace lnuca::hier

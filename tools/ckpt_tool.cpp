@@ -65,7 +65,7 @@ int cmd_info(ckpt::reader& r)
 
 int cmd_digest(ckpt::reader& r)
 {
-    // The digests section is component_digests()-order u64 values; the
+    // The digests section is one u64 per component, in section order; the
     // count falls out of the payload size.
     r.open_section(ckpt::section_id::digests);
     const ckpt::section_entry* entry = nullptr;

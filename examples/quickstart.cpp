@@ -6,7 +6,9 @@
 //                         [--instructions N] [--warmup N] [--threads N]
 //                         [--json out.jsonl]
 //
-// Pass --workload all to sweep the whole SPEC proxy suite (one job per
+// --workload takes any spec the benches accept (a SPEC proxy name,
+// trace:<file>, scenario:<name>, or a comma-separated list of them); pass
+// --workload all to sweep the whole SPEC proxy suite (one job per
 // workload, scheduled across the pool).
 #include "src/lnuca.h"
 
@@ -26,13 +28,15 @@ int main(int argc, char** argv)
     if (workload_name == "all") {
         workloads = wl::spec2006_suite();
     } else {
-        const auto workload = wl::find_spec2006(workload_name);
-        if (!workload) {
-            std::fprintf(stderr, "unknown workload '%s' (or 'all')\n",
-                         workload_name.c_str());
+        std::string bad;
+        workloads = trace::parse_workload_list(workload_name, &bad);
+        if (workloads.empty()) {
+            std::fprintf(stderr,
+                         "unknown workload '%s' (a SPEC proxy name, "
+                         "trace:<file>, scenario:<name>, or 'all')\n",
+                         bad.c_str());
             return 1;
         }
-        workloads.push_back(*workload);
     }
 
     hier::system_config config;

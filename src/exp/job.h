@@ -50,6 +50,13 @@ struct job {
     /// manifest they were handed.
     std::uint64_t manifest_hash = 0;
 
+    /// This job's coordinates as its result row carries them.
+    hier::row_coords coords() const
+    {
+        return {key.config, key.workload, key.replicate, key.flat,
+                seed,       instructions, warmup,        manifest_hash};
+    }
+
     hier::run_result run() const
     {
         return hier::run_one(config, workload, instructions, warmup, seed);

@@ -1,10 +1,10 @@
 #include "src/exp/manifest.h"
 
+#include "src/common/json.h"
 #include "src/trace/workload_spec.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <utility>
@@ -12,238 +12,6 @@
 namespace lnuca::exp {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader. Manifests are small hand-written files, so the
-// reader optimises for error messages, not speed: every failure carries the
-// byte offset and a reason. Numbers keep their raw text so 64-bit seeds
-// survive without a double round-trip; \uXXXX escapes are rejected (a
-// manifest is ASCII by construction — preset names, dotted keys, spec
-// strings).
-// ---------------------------------------------------------------------------
-
-struct jvalue {
-    enum class kind { null_t, bool_t, number, string, array, object };
-    kind k = kind::null_t;
-    bool boolean = false;
-    std::string text; ///< string payload, or a number's raw text
-    std::vector<jvalue> items;                           ///< array
-    std::vector<std::pair<std::string, jvalue>> members; ///< object, in order
-};
-
-class json_reader {
-public:
-    explicit json_reader(const std::string& text) : s_(text) {}
-
-    bool parse(jvalue& out, std::string* error)
-    {
-        skip_ws();
-        bool ok = parse_value(out);
-        if (ok) {
-            skip_ws();
-            if (pos_ != s_.size())
-                ok = fail("trailing content after the top-level value");
-        }
-        if (!ok && error != nullptr) {
-            *error = "JSON error at byte " + std::to_string(err_pos_) + ": " +
-                     err_;
-        }
-        return ok;
-    }
-
-private:
-    bool fail(const std::string& why)
-    {
-        if (err_.empty()) { // keep the innermost (root-cause) failure
-            err_ = why;
-            err_pos_ = pos_;
-        }
-        return false;
-    }
-
-    void skip_ws()
-    {
-        while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                                    s_[pos_] == '\n' || s_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool consume(char c)
-    {
-        if (pos_ < s_.size() && s_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool parse_value(jvalue& out)
-    {
-        if (pos_ >= s_.size())
-            return fail("unexpected end of input");
-        const char c = s_[pos_];
-        if (c == '{')
-            return parse_object(out);
-        if (c == '[')
-            return parse_array(out);
-        if (c == '"') {
-            out.k = jvalue::kind::string;
-            return parse_string(out.text);
-        }
-        if (c == '-' || (c >= '0' && c <= '9'))
-            return parse_number(out);
-        if (s_.compare(pos_, 4, "true") == 0) {
-            out.k = jvalue::kind::bool_t;
-            out.boolean = true;
-            pos_ += 4;
-            return true;
-        }
-        if (s_.compare(pos_, 5, "false") == 0) {
-            out.k = jvalue::kind::bool_t;
-            out.boolean = false;
-            pos_ += 5;
-            return true;
-        }
-        if (s_.compare(pos_, 4, "null") == 0) {
-            out.k = jvalue::kind::null_t;
-            pos_ += 4;
-            return true;
-        }
-        return fail("expected a JSON value");
-    }
-
-    bool parse_object(jvalue& out)
-    {
-        out.k = jvalue::kind::object;
-        consume('{');
-        skip_ws();
-        if (consume('}'))
-            return true;
-        while (true) {
-            skip_ws();
-            std::string key;
-            if (!parse_string(key))
-                return fail("expected an object key string");
-            skip_ws();
-            if (!consume(':'))
-                return fail("expected ':' after object key");
-            skip_ws();
-            jvalue child;
-            if (!parse_value(child))
-                return false;
-            out.members.emplace_back(std::move(key), std::move(child));
-            skip_ws();
-            if (consume('}'))
-                return true;
-            if (!consume(','))
-                return fail("expected ',' or '}' in object");
-        }
-    }
-
-    bool parse_array(jvalue& out)
-    {
-        out.k = jvalue::kind::array;
-        consume('[');
-        skip_ws();
-        if (consume(']'))
-            return true;
-        while (true) {
-            skip_ws();
-            jvalue child;
-            if (!parse_value(child))
-                return false;
-            out.items.push_back(std::move(child));
-            skip_ws();
-            if (consume(']'))
-                return true;
-            if (!consume(','))
-                return fail("expected ',' or ']' in array");
-        }
-    }
-
-    bool parse_string(std::string& out)
-    {
-        if (!consume('"'))
-            return fail("expected '\"'");
-        out.clear();
-        while (pos_ < s_.size()) {
-            const char c = s_[pos_++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (pos_ >= s_.size())
-                    break;
-                const char e = s_[pos_++];
-                switch (e) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'b': out += '\b'; break;
-                case 'f': out += '\f'; break;
-                case 'n': out += '\n'; break;
-                case 'r': out += '\r'; break;
-                case 't': out += '\t'; break;
-                default:
-                    --pos_;
-                    return fail("unsupported string escape");
-                }
-            } else {
-                out += c;
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool parse_number(jvalue& out)
-    {
-        const std::size_t start = pos_;
-        if (consume('-')) {
-        }
-        while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9')
-            ++pos_;
-        if (pos_ == start || (pos_ == start + 1 && s_[start] == '-'))
-            return fail("malformed number");
-        if (consume('.')) {
-            const std::size_t frac = pos_;
-            while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9')
-                ++pos_;
-            if (pos_ == frac)
-                return fail("malformed number (empty fraction)");
-        }
-        if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-'))
-                ++pos_;
-            const std::size_t exp = pos_;
-            while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9')
-                ++pos_;
-            if (pos_ == exp)
-                return fail("malformed number (empty exponent)");
-        }
-        out.k = jvalue::kind::number;
-        out.text = s_.substr(start, pos_ - start);
-        return true;
-    }
-
-    const std::string& s_;
-    std::size_t pos_ = 0;
-    std::string err_;
-    std::size_t err_pos_ = 0;
-};
-
-// A manifest scalar: a number that is a plain non-negative integer (no
-// sign, fraction or exponent — a seed/count with a fractional part is a
-// mistake, not something to round).
-bool as_u64(const jvalue& v, std::uint64_t& out)
-{
-    if (v.k != jvalue::kind::number || v.text.empty())
-        return false;
-    for (char c : v.text)
-        if (c < '0' || c > '9')
-            return false;
-    out = std::strtoull(v.text.c_str(), nullptr, 10);
-    return true;
-}
 
 // ---------------------------------------------------------------------------
 // Canonical hashing: FNV-1a 64 over the canonical serialisation.
@@ -290,11 +58,11 @@ std::string canon_override_set(const override_set& set)
     return out;
 }
 
-bool set_error(std::string* error, std::string text)
+std::nullopt_t set_error(std::string* error, std::string text)
 {
     if (error != nullptr)
         *error = std::move(text);
-    return false;
+    return std::nullopt;
 }
 
 } // namespace
@@ -315,22 +83,17 @@ sweep manifest::to_sweep() const
 std::optional<manifest> parse_manifest(const std::string& json_text,
                                        std::string* error)
 {
-    jvalue root;
+    json::value root;
     {
-        json_reader reader(json_text);
         std::string json_error;
-        if (!reader.parse(root, &json_error)) {
-            set_error(error, json_error);
-            return std::nullopt;
-        }
+        if (!json::parse(json_text, root, &json_error))
+            return set_error(error, json_error);
     }
-    if (root.k != jvalue::kind::object) {
-        set_error(error, "manifest must be a JSON object");
-        return std::nullopt;
-    }
+    if (root.k != json::value::kind::object)
+        return set_error(error, "manifest must be a JSON object");
 
     // --- Collect raw fields, rejecting unknown and duplicate keys. --------
-    std::map<std::string, const jvalue*> fields;
+    std::map<std::string, const json::value*> fields;
     static const char* const known[] = {
         "schema",   "name",       "presets",    "cores",
         "engine",   "sampling",   "overrides",  "workloads",
@@ -339,108 +102,86 @@ std::optional<manifest> parse_manifest(const std::string& json_text,
     for (const auto& [key, value] : root.members) {
         if (std::find_if(std::begin(known), std::end(known),
                          [&](const char* k) { return key == k; }) ==
-            std::end(known)) {
-            set_error(error, "unknown manifest key '" + key + "'");
-            return std::nullopt;
-        }
-        if (!fields.emplace(key, &value).second) {
-            set_error(error, "duplicate manifest key '" + key + "'");
-            return std::nullopt;
-        }
+            std::end(known))
+            return set_error(error, "unknown manifest key '" + key + "'");
+        if (!fields.emplace(key, &value).second)
+            return set_error(error, "duplicate manifest key '" + key + "'");
     }
-    const auto field = [&](const char* key) -> const jvalue* {
+    const auto field = [&](const char* key) -> const json::value* {
         const auto it = fields.find(key);
         return it == fields.end() ? nullptr : it->second;
     };
 
     // --- schema (required, exact) -----------------------------------------
-    const jvalue* schema = field("schema");
-    if (schema == nullptr || schema->k != jvalue::kind::string) {
-        set_error(error, "manifest is missing the \"schema\" string");
-        return std::nullopt;
-    }
-    if (schema->text != manifest_schema) {
-        set_error(error, "unsupported manifest schema '" + schema->text +
-                             "' (this build reads '" +
-                             std::string(manifest_schema) + "')");
-        return std::nullopt;
-    }
+    const json::value* schema = field("schema");
+    if (schema == nullptr || schema->k != json::value::kind::string)
+        return set_error(error, "manifest is missing the \"schema\" string");
+    if (schema->text != manifest_schema)
+        return set_error(error, "unsupported manifest schema '" + schema->text +
+                                    "' (this build reads '" +
+                                    std::string(manifest_schema) + "')");
 
     manifest m;
-    if (const jvalue* name = field("name")) {
-        if (name->k != jvalue::kind::string) {
-            set_error(error, "manifest \"name\" must be a string");
-            return std::nullopt;
-        }
+    if (const json::value* name = field("name")) {
+        if (name->k != json::value::kind::string)
+            return set_error(error, "manifest \"name\" must be a string");
         m.name = name->text;
     }
 
     // --- presets (required) -----------------------------------------------
     std::vector<hier::system_config> bases;
-    const jvalue* presets = field("presets");
-    if (presets == nullptr || presets->k != jvalue::kind::array ||
-        presets->items.empty()) {
-        set_error(error, "manifest \"presets\" must be a non-empty array of "
-                         "preset names");
-        return std::nullopt;
-    }
-    for (const jvalue& entry : presets->items) {
-        if (entry.k != jvalue::kind::string) {
-            set_error(error, "manifest \"presets\" entries must be strings");
-            return std::nullopt;
-        }
+    const json::value* presets = field("presets");
+    if (presets == nullptr || presets->k != json::value::kind::array ||
+        presets->items.empty())
+        return set_error(error, "manifest \"presets\" must be a non-empty "
+                                "array of preset names");
+    for (const json::value& entry : presets->items) {
+        if (entry.k != json::value::kind::string)
+            return set_error(error,
+                             "manifest \"presets\" entries must be strings");
         auto config = hier::presets::by_name(entry.text);
-        if (!config) {
-            set_error(error, "unknown preset '" + entry.text + "'");
-            return std::nullopt;
-        }
+        if (!config)
+            return set_error(error, "unknown preset '" + entry.text + "'");
         bases.push_back(std::move(*config));
     }
 
     // --- cores (optional, default [1]) ------------------------------------
     std::vector<unsigned> cores{1};
-    if (const jvalue* axis = field("cores")) {
-        if (axis->k != jvalue::kind::array || axis->items.empty()) {
-            set_error(error, "manifest \"cores\" must be a non-empty array "
-                             "of core counts");
-            return std::nullopt;
-        }
+    if (const json::value* axis = field("cores")) {
+        if (axis->k != json::value::kind::array || axis->items.empty())
+            return set_error(error, "manifest \"cores\" must be a non-empty "
+                                    "array of core counts");
         cores.clear();
-        for (const jvalue& entry : axis->items) {
+        for (const json::value& entry : axis->items) {
             std::uint64_t value = 0;
-            if (!as_u64(entry, value) || value < 1 || value > 32) {
-                set_error(error, "manifest \"cores\" entries must be "
-                                 "integers in [1, 32]");
-                return std::nullopt;
-            }
+            if (!json::to_u64(entry, value) || value < 1 || value > 32)
+                return set_error(error, "manifest \"cores\" entries must be "
+                                        "integers in [1, 32]");
             cores.push_back(unsigned(value));
         }
     }
 
     // --- engine (optional, default ["skip"]) ------------------------------
     std::vector<engine_entry> engines{{sim::schedule_mode::idle_skip, "skip"}};
-    if (const jvalue* axis = field("engine")) {
-        if (axis->k != jvalue::kind::array || axis->items.empty()) {
-            set_error(error, "manifest \"engine\" must be a non-empty array "
-                             "of engine modes");
-            return std::nullopt;
-        }
+    if (const json::value* axis = field("engine")) {
+        if (axis->k != json::value::kind::array || axis->items.empty())
+            return set_error(error, "manifest \"engine\" must be a non-empty "
+                                    "array of engine modes");
         engines.clear();
-        for (const jvalue& entry : axis->items) {
+        for (const json::value& entry : axis->items) {
             engine_entry e;
-            if (entry.k == jvalue::kind::string && entry.text == "dense") {
+            if (entry.k == json::value::kind::string && entry.text == "dense") {
                 e = {sim::schedule_mode::dense, "dense"};
-            } else if (entry.k == jvalue::kind::string &&
+            } else if (entry.k == json::value::kind::string &&
                        (entry.text == "skip" || entry.text == "idle_skip" ||
                         entry.text == "idle-skip")) {
                 e = {sim::schedule_mode::idle_skip, "skip"};
-            } else if (entry.k == jvalue::kind::string &&
+            } else if (entry.k == json::value::kind::string &&
                        entry.text == "paranoid") {
                 e = {sim::schedule_mode::paranoid, "paranoid"};
             } else {
-                set_error(error, "manifest \"engine\" entries must be "
-                                 "\"dense\", \"skip\" or \"paranoid\"");
-                return std::nullopt;
+                return set_error(error, "manifest \"engine\" entries must be "
+                                        "\"dense\", \"skip\" or \"paranoid\"");
             }
             engines.push_back(std::move(e));
         }
@@ -448,23 +189,19 @@ std::optional<manifest> parse_manifest(const std::string& json_text,
 
     // --- sampling (optional, default ["off"]) -----------------------------
     std::vector<sampling_entry> samplings{{hier::sampling_config{}, "off"}};
-    if (const jvalue* axis = field("sampling")) {
-        if (axis->k != jvalue::kind::array || axis->items.empty()) {
-            set_error(error, "manifest \"sampling\" must be a non-empty "
-                             "array of sampling specs");
-            return std::nullopt;
-        }
+    if (const json::value* axis = field("sampling")) {
+        if (axis->k != json::value::kind::array || axis->items.empty())
+            return set_error(error, "manifest \"sampling\" must be a non-empty "
+                                    "array of sampling specs");
         samplings.clear();
-        for (const jvalue& entry : axis->items) {
+        for (const json::value& entry : axis->items) {
             std::optional<hier::sampling_config> parsed;
-            if (entry.k == jvalue::kind::string)
+            if (entry.k == json::value::kind::string)
                 parsed = hier::parse_sampling_spec(entry.text);
-            if (!parsed) {
-                set_error(error,
-                          "manifest \"sampling\" entries must be \"off\" or "
-                          "\"periodic:<detail>:<period>[:<warmup>]\"");
-                return std::nullopt;
-            }
+            if (!parsed)
+                return set_error(
+                    error, "manifest \"sampling\" entries must be \"off\" or "
+                           "\"periodic:<detail>:<period>[:<warmup>]\"");
             sampling_entry s;
             s.config = *parsed;
             if (!s.config.enabled) {
@@ -484,32 +221,26 @@ std::optional<manifest> parse_manifest(const std::string& json_text,
 
     // --- overrides (optional, default [{}]) -------------------------------
     std::vector<override_set> overrides{override_set{}};
-    if (const jvalue* axis = field("overrides")) {
-        if (axis->k != jvalue::kind::array || axis->items.empty()) {
-            set_error(error, "manifest \"overrides\" must be a non-empty "
+    if (const json::value* axis = field("overrides")) {
+        if (axis->k != json::value::kind::array || axis->items.empty())
+            return set_error(error,
+                             "manifest \"overrides\" must be a non-empty "
                              "array of {\"dotted.key\": value} objects");
-            return std::nullopt;
-        }
         overrides.clear();
-        for (const jvalue& entry : axis->items) {
-            if (entry.k != jvalue::kind::object) {
-                set_error(error, "manifest \"overrides\" entries must be "
-                                 "objects");
-                return std::nullopt;
-            }
+        for (const json::value& entry : axis->items) {
+            if (entry.k != json::value::kind::object)
+                return set_error(error, "manifest \"overrides\" entries "
+                                        "must be objects");
             override_set set;
             for (const auto& [key, value] : entry.members) {
                 std::uint64_t v = 0;
-                if (!as_u64(value, v)) {
-                    set_error(error, "override '" + key +
+                if (!json::to_u64(value, v))
+                    return set_error(error,
+                                     "override '" + key +
                                          "' must be a non-negative integer");
-                    return std::nullopt;
-                }
-                if (!set.emplace(key, v).second) {
-                    set_error(error,
-                              "duplicate override key '" + key + "'");
-                    return std::nullopt;
-                }
+                if (!set.emplace(key, v).second)
+                    return set_error(error,
+                                     "duplicate override key '" + key + "'");
             }
             overrides.push_back(std::move(set));
         }
@@ -517,36 +248,30 @@ std::optional<manifest> parse_manifest(const std::string& json_text,
 
     // --- workloads (required) ---------------------------------------------
     std::vector<std::string> workload_specs;
-    const jvalue* workloads = field("workloads");
-    if (workloads == nullptr || workloads->k != jvalue::kind::array ||
-        workloads->items.empty()) {
-        set_error(error, "manifest \"workloads\" must be a non-empty array "
-                         "of workload specs");
-        return std::nullopt;
-    }
-    for (const jvalue& entry : workloads->items) {
-        if (entry.k != jvalue::kind::string) {
-            set_error(error, "manifest \"workloads\" entries must be "
-                             "strings");
-            return std::nullopt;
-        }
+    const json::value* workloads = field("workloads");
+    if (workloads == nullptr || workloads->k != json::value::kind::array ||
+        workloads->items.empty())
+        return set_error(error, "manifest \"workloads\" must be a non-empty "
+                                "array of workload specs");
+    for (const json::value& entry : workloads->items) {
+        if (entry.k != json::value::kind::string)
+            return set_error(error, "manifest \"workloads\" entries must be "
+                                    "strings");
         auto profile = trace::parse_workload_spec(entry.text);
-        if (!profile) {
-            set_error(error, "unknown workload spec '" + entry.text +
-                                 "' (expected a SPEC proxy name, "
-                                 "trace:<file>, or scenario:<name>)");
-            return std::nullopt;
-        }
+        if (!profile)
+            return set_error(error, "unknown workload spec '" + entry.text +
+                                        "' (expected a SPEC proxy name, "
+                                        "trace:<file>, or scenario:<name>)");
         workload_specs.push_back(entry.text);
         m.workloads.push_back(std::move(*profile));
     }
 
     // --- scalars ----------------------------------------------------------
     const auto scalar = [&](const char* key, std::uint64_t& out) {
-        const jvalue* v = field(key);
+        const json::value* v = field(key);
         if (v == nullptr)
             return true;
-        if (!as_u64(*v, out)) {
+        if (!json::to_u64(*v, out)) {
             set_error(error, std::string("manifest \"") + key +
                                  "\" must be a non-negative integer");
             return false;
@@ -556,10 +281,8 @@ std::optional<manifest> parse_manifest(const std::string& json_text,
     std::uint64_t replicates = 1;
     if (!scalar("replicates", replicates))
         return std::nullopt;
-    if (replicates == 0) {
-        set_error(error, "manifest \"replicates\" must be >= 1");
-        return std::nullopt;
-    }
+    if (replicates == 0)
+        return set_error(error, "manifest \"replicates\" must be >= 1");
     m.replicates = std::size_t(replicates);
     if (!scalar("base_seed", m.base_seed) ||
         !scalar("instructions", m.instructions) ||
@@ -587,10 +310,8 @@ std::optional<manifest> parse_manifest(const std::string& json_text,
                         for (const auto& [key, value] : set) {
                             std::string override_error;
                             if (!hier::apply_config_override(
-                                    config, key, value, &override_error)) {
-                                set_error(error, override_error);
-                                return std::nullopt;
-                            }
+                                    config, key, value, &override_error))
+                                return set_error(error, override_error);
                             config.name +=
                                 "+" + key + "=" + std::to_string(value);
                         }
@@ -656,18 +377,14 @@ std::optional<manifest> load_manifest(const std::string& path,
                                       std::string* error)
 {
     std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        set_error(error, "cannot read manifest '" + path + "'");
-        return std::nullopt;
-    }
+    if (!in)
+        return set_error(error, "cannot read manifest '" + path + "'");
     std::string text(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>{});
     std::string parse_error;
     auto m = parse_manifest(text, &parse_error);
-    if (!m) {
-        set_error(error, path + ": " + parse_error);
-        return std::nullopt;
-    }
+    if (!m)
+        return set_error(error, path + ": " + parse_error);
     return m;
 }
 

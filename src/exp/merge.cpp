@@ -8,13 +8,11 @@ namespace lnuca::exp {
 namespace {
 
 // Canonical deterministic encoding of a row: the encode_json_line() bytes
-// with the host-timing trio (the only nondeterministic fields) zeroed.
-// Two runs of the same job must agree on this string bit-for-bit.
+// with the host-timing fields zeroed. Two runs of the same job must agree
+// on this string bit-for-bit.
 std::string deterministic_encoding(const job& j, hier::run_result r)
 {
-    r.host_seconds = 0.0;
-    r.sim_cycles_per_second = 0.0;
-    r.sim_instructions_per_second = 0.0;
+    zero_host_timing(r);
     return encode_json_line(j, r);
 }
 
@@ -68,48 +66,18 @@ bool merge_results(const manifest& m, const std::vector<merge_input>& inputs,
     };
 
     for (const merge_input& input : inputs) {
-        const std::string& content = input.second;
-        std::size_t line_start = 0;
-        std::size_t line_no = 0;
-        while (line_start < content.size()) {
-            std::size_t newline = content.find('\n', line_start);
-            const bool terminated = newline != std::string::npos;
-            if (!terminated)
-                newline = content.size();
-            const std::string line =
-                content.substr(line_start, newline - line_start);
-            const std::size_t next =
-                terminated ? newline + 1 : content.size();
-            ++line_no;
-            line_start = next;
-
-            if (line.empty())
-                continue;
-            const auto decoded = decode_json_line(line);
-            if (!decoded) {
-                // Only a *trailing* undecodable line is a legitimate torn
-                // tail; mid-file corruption means rows are gone for good.
-                if (next < content.size())
-                    return fail(input.first, line_no,
-                                "malformed row is not the trailing line; "
-                                "the file is corrupt, not merely torn");
-                ++report.torn_tails;
-                break;
-            }
-
+        const jsonl_rows file = read_jsonl(input.second);
+        for (const auto& [line_no, decoded] : file.rows) {
             // Provenance: the row must be this manifest's job at its flat
             // index, bit for bit.
-            const std::size_t flat = decoded->key.flat;
+            const std::size_t flat = decoded.coords.flat;
             if (flat >= jobs.size())
                 return fail(input.first, line_no,
                             "flat index " + std::to_string(flat) +
                                 " is outside the manifest's " +
                                 std::to_string(jobs.size()) + " jobs");
             const job& j = jobs[flat];
-            if (!(j.key == decoded->key) || j.seed != decoded->seed ||
-                j.instructions != decoded->instructions_requested ||
-                j.warmup != decoded->warmup ||
-                j.manifest_hash != decoded->manifest_hash)
+            if (j.coords() != decoded.coords)
                 return fail(input.first, line_no,
                             "row does not belong to this manifest (flat " +
                                 std::to_string(flat) +
@@ -117,17 +85,17 @@ bool merge_results(const manifest& m, const std::vector<merge_input>& inputs,
                                 "manifest hash disagree");
 
             ++report.rows_seen;
-            const bool is_ok = decoded->result.status == hier::run_status::ok;
+            const bool is_ok = decoded.result.status == hier::run_status::ok;
             best_row& slot = rows[flat];
             if (!is_ok) {
                 // failed / timed_out (or a stray skipped_resumed, which a
                 // sink never writes): keep only as evidence that the flat
                 // was attempted; any ok row supersedes it.
                 if (!slot.ok)
-                    slot.result = decoded->result;
+                    slot.result = decoded.result;
                 continue;
             }
-            std::string canonical = deterministic_encoding(j, decoded->result);
+            std::string canonical = deterministic_encoding(j, decoded.result);
             if (slot.ok) {
                 if (slot.canonical != canonical)
                     return fail(input.first, line_no,
@@ -140,9 +108,17 @@ bool merge_results(const manifest& m, const std::vector<merge_input>& inputs,
                 continue;
             }
             slot.ok = true;
-            slot.result = decoded->result;
+            slot.result = decoded.result;
             slot.canonical = std::move(canonical);
         }
+        // Only a *trailing* undecodable line is a legitimate torn tail;
+        // mid-file corruption means rows are gone for good.
+        if (file.bad_line != 0 && !file.torn)
+            return fail(input.first, file.bad_line,
+                        "malformed row is not the trailing line; the file "
+                        "is corrupt, not merely torn");
+        if (file.torn)
+            ++report.torn_tails;
     }
 
     // Coverage + canonical output, in flat order.

@@ -19,7 +19,7 @@
 //     (the --resume re-run convention) but are reported when no ok row
 //     ever arrives;
 //   - verifies that duplicate ok rows for one flat agree on every
-//     deterministic field (everything but the host-timing trio). Agreeing
+//     deterministic field (everything but the host_timing fields). Agreeing
 //     duplicates collapse to one row; disagreeing ones are a hard error,
 //     because two "bit-identical" runs that differ expose either seed
 //     reuse or nondeterminism — exactly what the determinism contract
@@ -27,7 +27,7 @@
 //
 // The merged output contains exactly one line per completed flat, in flat
 // order, re-encoded with encode_json_line() — byte-identical (modulo the
-// host-timing trio) to what a single clean unsharded run would have
+// host_timing fields) to what a single clean unsharded run would have
 // written.
 #pragma once
 

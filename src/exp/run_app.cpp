@@ -246,75 +246,52 @@ bool scan_resume_file(const app_options& opt, const sweep& s, resume_scan& out)
     full.shard(0, 1);
     const std::vector<job> jobs = full.build();
 
-    std::size_t line_start = 0;
-    std::size_t line_no = 0;
-    while (line_start < content.size()) {
-        std::size_t newline = content.find('\n', line_start);
-        const bool terminated = newline != std::string::npos;
-        if (!terminated)
-            newline = content.size();
-        const std::string line =
-            content.substr(line_start, newline - line_start);
-        const std::size_t next = terminated ? newline + 1 : content.size();
-        ++line_no;
-
-        if (line.empty()) {
-            line_start = next;
-            continue;
-        }
-        const auto decoded = decode_json_line(line);
-        if (!decoded) {
-            // A torn tail from a mid-write kill can only be the *last*
-            // line. Anywhere else the file is corrupt, and silently
-            // skipping a row would un-resume it into a duplicate.
-            if (next < content.size()) {
-                std::fprintf(stderr,
-                             "--resume: '%s' line %zu is malformed and not "
-                             "the trailing line; refusing to resume from a "
-                             "corrupt file\n",
-                             opt.json_path.c_str(), line_no);
-                return false;
-            }
-            if (::truncate(opt.json_path.c_str(), off_t(line_start)) != 0) {
-                std::fprintf(stderr,
-                             "--resume: cannot truncate torn tail of '%s'\n",
-                             opt.json_path.c_str());
-                return false;
-            }
-            out.truncated_tail = true;
-            break;
-        }
-
+    const jsonl_rows file = read_jsonl(content);
+    for (const auto& [line_no, decoded] : file.rows) {
         // Every decodable row must belong to *this* sweep: same flat
         // coordinates, the same derived seed and the same run length.
         // Anything else means the file holds a different experiment and
         // resuming would silently mix the two.
-        const std::size_t flat = decoded->key.flat;
-        if (flat >= jobs.size() || !(jobs[flat].key == decoded->key) ||
-            jobs[flat].seed != decoded->seed ||
-            jobs[flat].instructions != decoded->instructions_requested ||
-            jobs[flat].warmup != decoded->warmup ||
-            jobs[flat].manifest_hash != decoded->manifest_hash) {
+        const std::size_t flat = decoded.coords.flat;
+        if (flat >= jobs.size() || jobs[flat].coords() != decoded.coords) {
             std::fprintf(stderr,
                          "--resume: '%s' line %zu does not match this sweep "
                          "(flat %zu, seed %llu); was the file produced by a "
                          "different command line?\n",
                          opt.json_path.c_str(), line_no, flat,
-                         (unsigned long long)decoded->seed);
+                         (unsigned long long)decoded.coords.seed);
             return false;
         }
 
         ++out.rows;
-        const hier::run_status st = decoded->result.status;
+        const hier::run_status st = decoded.result.status;
         if (st == hier::run_status::ok ||
             st == hier::run_status::skipped_resumed) {
-            out.completed[flat] = decoded->result; // last row wins
+            out.completed[flat] = decoded.result; // last row wins
         } else {
             ++out.rerun_failed;
             out.completed.erase(flat); // an earlier ok row cannot shadow it
         }
-        line_start = next;
     }
+    if (file.bad_line == 0)
+        return true;
+    // A torn tail from a mid-write kill can only be the *last* line.
+    // Anywhere else the file is corrupt, and silently skipping a row would
+    // un-resume it into a duplicate.
+    if (!file.torn) {
+        std::fprintf(stderr,
+                     "--resume: '%s' line %zu is malformed and not the "
+                     "trailing line; refusing to resume from a corrupt "
+                     "file\n",
+                     opt.json_path.c_str(), file.bad_line);
+        return false;
+    }
+    if (::truncate(opt.json_path.c_str(), off_t(file.bad_offset)) != 0) {
+        std::fprintf(stderr, "--resume: cannot truncate torn tail of '%s'\n",
+                     opt.json_path.c_str());
+        return false;
+    }
+    out.truncated_tail = true;
     return true;
 }
 

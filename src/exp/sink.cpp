@@ -1,55 +1,33 @@
 #include "src/exp/sink.h"
 
+#include "src/common/json.h"
 #include "src/common/log.h"
 #include "src/common/table.h"
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
+#include <variant>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 namespace lnuca::exp {
 
+using hier::field_role;
+using hier::row_field;
+using hier::row_fields;
+using power::energy_breakdown;
+
 namespace {
-
-// Full-precision double formatting: %.17g round-trips through strtod.
-std::string fmt_double(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::string json_escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char ch : s) {
-        switch (ch) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
-}
 
 std::string csv_quote(const std::string& s)
 {
-    if (s.find_first_of(",\"\n") == std::string::npos)
+    if (s.find_first_of(",\"\r\n") == std::string::npos)
         return s;
     std::string out = "\"";
     for (const char ch : s) {
@@ -58,6 +36,35 @@ std::string csv_quote(const std::string& s)
         out += ch;
     }
     out += '"';
+    return out;
+}
+
+// A field_role::hash field's text: 16 hex digits, or "" when unset (0).
+std::string hash_text(const row_field& f, const hier::row_coords& c)
+{
+    const std::uint64_t h =
+        c.*std::get<std::uint64_t hier::row_coords::*>(f.member);
+    if (h == 0)
+        return "";
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx", (unsigned long long)h);
+    return buf;
+}
+
+// Scalar text shared by both formats; JSON quotes and escapes strings,
+// CSV quotes them when needed.
+std::string scalar_text(std::uint64_t v) { return std::to_string(v); }
+std::string scalar_text(std::uint32_t v) { return std::to_string(v); }
+std::string scalar_text(double v) { return json::number(v); }
+
+template <class T> std::string joined(const std::vector<T>& items, char sep)
+{
+    std::string out;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        if (i != 0)
+            out += sep;
+        out += scalar_text(items[i]);
+    }
     return out;
 }
 
@@ -115,158 +122,133 @@ void table_sink::finish()
 
 void csv_sink::begin(std::size_t)
 {
-    out_ << "config,workload,config_index,workload_index,replicate,flat,seed,"
-            "manifest,status,error,"
-            "floating_point,cores,instructions,cycles,ipc,per_core_ipc,"
-            "weighted_speedup,sampled,sampled_windows,"
-            "measured_instructions,ipc_ci95,l2_read_hits,"
-            "transport_actual,transport_min,search_restarts,searches,"
-            "loads_l1,loads_fabric,loads_l2,loads_l3,loads_dnuca,"
-            "loads_memory,loads_peer,avg_load_latency,energy_dynamic_j,"
-            "energy_static_l1_j,energy_static_storage_j,energy_static_l3_j,"
-            "energy_total_j,host_seconds,sim_cycles_per_second,"
-            "sim_instructions_per_second\n";
+    using energy_member = energy_breakdown hier::run_result::*;
+    std::string header;
+    for (const row_field& f : row_fields) {
+        if (std::holds_alternative<energy_member>(f.member))
+            for (const hier::energy_field& e : hier::energy_fields)
+                header += std::string("energy_") + e.key + ',';
+        else
+            header += std::string(f.key) + ',';
+    }
+    header.back() = '\n';
+    out_ << header;
 }
 
 void csv_sink::consume(const job& j, const hier::run_result& r)
 {
-    // per_core_ipc packs as a semicolon-joined list in one CSV field.
-    std::string per_core;
-    for (std::size_t i = 0; i < r.per_core_ipc.size(); ++i) {
-        if (i != 0)
-            per_core += ';';
-        per_core += fmt_double(r.per_core_ipc[i]);
+    const hier::row_coords c = j.coords();
+    std::string row;
+    for (const row_field& f : row_fields) {
+        if (f.role == field_role::hash) {
+            row += hash_text(f, c) + ',';
+            continue;
+        }
+        std::visit(
+            [&](auto m) {
+                const auto& v = hier::field_value(m, c, r);
+                using T = std::decay_t<decltype(v)>;
+                if constexpr (std::is_same_v<T, std::string>) {
+                    row += csv_quote(v);
+                } else if constexpr (std::is_same_v<T, hier::run_status>) {
+                    row += to_string(v);
+                } else if constexpr (std::is_same_v<T, bool>) {
+                    row += v ? '1' : '0';
+                } else if constexpr (std::is_same_v<T, energy_breakdown>) {
+                    for (const hier::energy_field& e : hier::energy_fields)
+                        row += scalar_text(e.member ? v.*e.member : v.total()) +
+                               ',';
+                    row.pop_back();
+                } else if constexpr (std::is_arithmetic_v<T>) {
+                    row += scalar_text(v);
+                } else {
+                    row += joined(v, ';'); // one CSV field per array
+                }
+            },
+            f.member);
+        row += ',';
     }
-    char manifest_hex[24] = "";
-    if (j.manifest_hash != 0)
-        std::snprintf(manifest_hex, sizeof manifest_hex, "%016llx",
-                      (unsigned long long)j.manifest_hash);
-    out_ << csv_quote(r.config_name) << ',' << csv_quote(r.workload_name)
-         << ',' << j.key.config << ',' << j.key.workload << ','
-         << j.key.replicate << ',' << j.key.flat << ',' << j.seed << ','
-         << manifest_hex << ','
-         << to_string(r.status) << ',' << csv_quote(r.error) << ','
-         << (r.floating_point ? 1 : 0) << ',' << r.cores << ','
-         << r.instructions << ','
-         << r.cycles << ',' << fmt_double(r.ipc) << ',' << per_core << ','
-         << fmt_double(r.weighted_speedup) << ','
-         << (r.sampled ? 1 : 0) << ',' << r.sampled_windows << ','
-         << r.measured_instructions << ',' << fmt_double(r.ipc_ci95) << ','
-         << r.l2_read_hits
-         << ',' << r.transport_actual << ',' << r.transport_min << ','
-         << r.search_restarts << ',' << r.searches << ',' << r.loads_l1 << ','
-         << r.loads_fabric << ',' << r.loads_l2 << ',' << r.loads_l3 << ','
-         << r.loads_dnuca << ',' << r.loads_memory << ',' << r.loads_peer
-         << ',' << fmt_double(r.avg_load_latency) << ','
-         << fmt_double(r.energy.dynamic_j) << ','
-         << fmt_double(r.energy.static_l1_j) << ','
-         << fmt_double(r.energy.static_storage_j) << ','
-         << fmt_double(r.energy.static_l3_j) << ','
-         << fmt_double(r.energy.total()) << ','
-         << fmt_double(r.host_seconds) << ','
-         << fmt_double(r.sim_cycles_per_second) << ','
-         << fmt_double(r.sim_instructions_per_second) << '\n';
+    row.back() = '\n';
+    out_ << row;
 }
 
 // ---------------------------------------------------------------------------
 // jsonl_sink
 // ---------------------------------------------------------------------------
 
+namespace {
+
+void put_key(std::string& out, const char* key)
+{
+    out += '"';
+    out += key; // table keys are plain identifiers: nothing to escape
+    out += "\":";
+}
+void put_json(std::string& out, const std::string& v)
+{
+    out += '"';
+    out += json::escape(v);
+    out += '"';
+}
+void put_json(std::string& out, hier::run_status v)
+{
+    put_json(out, std::string(to_string(v)));
+}
+void put_json(std::string& out, bool v) { out += v ? "true" : "false"; }
+void put_json(std::string& out, std::uint64_t v) { out += scalar_text(v); }
+void put_json(std::string& out, std::uint32_t v) { out += scalar_text(v); }
+void put_json(std::string& out, double v) { out += scalar_text(v); }
+template <class T>
+void put_json(std::string& out, const std::vector<T>& v)
+{
+    out += '[';
+    out += joined(v, ',');
+    out += ']';
+}
+void put_json(std::string& out, const energy_breakdown& e)
+{
+    out += '{';
+    for (const hier::energy_field& f : hier::energy_fields) {
+        put_key(out, f.key);
+        put_json(out, f.member ? e.*f.member : e.total());
+        out += ',';
+    }
+    out.back() = '}';
+}
+
+} // namespace
+
 std::string encode_json_line(const job& j, const hier::run_result& r)
 {
+    const hier::row_coords c = j.coords();
     std::string line = "{";
-    auto str = [&](const char* key, const std::string& value) {
-        line += '"';
-        line += key;
-        line += "\":\"";
-        line += json_escape(value);
-        line += "\",";
-    };
-    auto u64 = [&](const char* key, std::uint64_t value) {
-        line += '"';
-        line += key;
-        line += "\":";
-        line += std::to_string(value);
+    for (const row_field& f : row_fields) {
+        if (f.role == field_role::on_failure &&
+            r.status == hier::run_status::ok)
+            continue;
+        if (f.role == field_role::hash) {
+            const std::string hash = hash_text(f, c);
+            if (!hash.empty()) {
+                put_key(line, f.key);
+                put_json(line, hash);
+                line += ',';
+            }
+            continue;
+        }
+        put_key(line, f.key);
+        std::visit([&](auto m) { put_json(line, hier::field_value(m, c, r)); },
+                   f.member);
         line += ',';
-    };
-    auto dbl = [&](const char* key, double value) {
-        line += '"';
-        line += key;
-        line += "\":";
-        line += fmt_double(value);
-        line += ',';
-    };
-
-    str("config", r.config_name);
-    str("workload", r.workload_name);
-    u64("config_index", j.key.config);
-    u64("workload_index", j.key.workload);
-    u64("replicate", j.key.replicate);
-    u64("flat", j.key.flat);
-    u64("seed", j.seed);
-    u64("instructions_requested", j.instructions);
-    u64("warmup", j.warmup);
-    if (j.manifest_hash != 0) {
-        // Hex string, not a JSON number: a 64-bit hash would lose precision
-        // in any double-backed JSON reader (Python's json included).
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "%016llx",
-                      (unsigned long long)j.manifest_hash);
-        str("manifest", buf);
     }
-    str("status", to_string(r.status));
-    if (r.status != hier::run_status::ok)
-        str("error", r.error);
-    line += r.floating_point ? "\"floating_point\":true,"
-                             : "\"floating_point\":false,";
-    u64("instructions", r.instructions);
-    u64("cycles", r.cycles);
-    dbl("ipc", r.ipc);
-    u64("cores", r.cores);
-    line += "\"per_core_ipc\":[";
-    for (std::size_t i = 0; i < r.per_core_ipc.size(); ++i) {
-        if (i != 0)
-            line += ',';
-        line += fmt_double(r.per_core_ipc[i]);
-    }
-    line += "],";
-    dbl("weighted_speedup", r.weighted_speedup);
-    line += r.sampled ? "\"sampled\":true," : "\"sampled\":false,";
-    u64("sampled_windows", r.sampled_windows);
-    u64("measured_instructions", r.measured_instructions);
-    dbl("ipc_ci95", r.ipc_ci95);
-    u64("l2_read_hits", r.l2_read_hits);
-    line += "\"fabric_read_hits\":[";
-    for (std::size_t i = 0; i < r.fabric_read_hits.size(); ++i) {
-        if (i != 0)
-            line += ',';
-        line += std::to_string(r.fabric_read_hits[i]);
-    }
-    line += "],";
-    u64("transport_actual", r.transport_actual);
-    u64("transport_min", r.transport_min);
-    u64("search_restarts", r.search_restarts);
-    u64("searches", r.searches);
-    u64("loads_l1", r.loads_l1);
-    u64("loads_fabric", r.loads_fabric);
-    u64("loads_l2", r.loads_l2);
-    u64("loads_l3", r.loads_l3);
-    u64("loads_dnuca", r.loads_dnuca);
-    u64("loads_memory", r.loads_memory);
-    u64("loads_peer", r.loads_peer);
-    dbl("avg_load_latency", r.avg_load_latency);
-    dbl("host_seconds", r.host_seconds);
-    dbl("sim_cycles_per_second", r.sim_cycles_per_second);
-    dbl("sim_instructions_per_second", r.sim_instructions_per_second);
-    line += "\"energy\":{";
-    dbl("dynamic_j", r.energy.dynamic_j);
-    dbl("static_l1_j", r.energy.static_l1_j);
-    dbl("static_storage_j", r.energy.static_storage_j);
-    dbl("static_l3_j", r.energy.static_l3_j);
-    line += "\"total_j\":";
-    line += fmt_double(r.energy.total());
-    line += "}}";
+    line.back() = '}';
     return line;
+}
+
+void zero_host_timing(hier::run_result& r)
+{
+    for (const row_field& f : row_fields)
+        if (f.role == field_role::host_timing)
+            r.*std::get<double hier::run_result::*>(f.member) = 0.0;
 }
 
 jsonl_sink::jsonl_sink(std::ostream& out, std::size_t flush_rows)
@@ -399,363 +381,140 @@ void sink_fanout::finish()
 }
 
 // ---------------------------------------------------------------------------
-// decode_json_line: minimal recursive-descent parser for the exact grammar
-// encode_json_line() emits (flat object, one nested object, one u64 array).
-// Unknown keys are skipped so the format can grow fields without breaking
-// old readers.
+// decode_json_line: the shared reader builds the tree, then each member is
+// matched to its row_fields entry and converted by the member's kind.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct cursor {
-    const char* p;
-    const char* end;
-
-    void skip_ws()
-    {
-        while (p != end && (*p == ' ' || *p == '\t' || *p == '\r' ||
-                            *p == '\n'))
-            ++p;
-    }
-
-    bool consume(char c)
-    {
-        skip_ws();
-        if (p == end || *p != c)
-            return false;
-        ++p;
-        return true;
-    }
-
-    bool peek(char c)
-    {
-        skip_ws();
-        return p != end && *p == c;
-    }
-
-    bool parse_string(std::string& out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (p != end && *p != '"') {
-            if (*p == '\\') {
-                ++p;
-                if (p == end)
-                    return false;
-                switch (*p) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                case 'u': {
-                    if (end - p < 5)
-                        return false;
-                    char hex[5] = {p[1], p[2], p[3], p[4], 0};
-                    out += char(std::strtoul(hex, nullptr, 16));
-                    p += 4;
-                    break;
-                }
-                default: return false;
-                }
-                ++p;
-            } else {
-                out += *p++;
-            }
-        }
-        return consume('"');
-    }
-
-    bool parse_u64(std::uint64_t& out)
-    {
-        skip_ws();
-        char* after = nullptr;
-        out = std::strtoull(p, &after, 10);
-        if (after == p)
-            return false;
-        p = after;
-        return true;
-    }
-
-    bool parse_double(double& out)
-    {
-        skip_ws();
-        char* after = nullptr;
-        out = std::strtod(p, &after);
-        if (after == p)
-            return false;
-        p = after;
-        return true;
-    }
-
-    bool parse_bool(bool& out)
-    {
-        skip_ws();
-        if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-            out = true;
-            p += 4;
-            return true;
-        }
-        if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-            out = false;
-            p += 5;
-            return true;
-        }
-        return false;
-    }
-
-    bool skip_value()
-    {
-        skip_ws();
-        if (p == end)
-            return false;
-        if (*p == '"') {
-            std::string ignored;
-            return parse_string(ignored);
-        }
-        if (*p == '[' || *p == '{') {
-            const char open = *p, close = open == '[' ? ']' : '}';
-            int depth = 0;
-            bool in_string = false;
-            for (; p != end; ++p) {
-                if (in_string) {
-                    if (*p == '\\') {
-                        if (++p == end)
-                            return false; // truncated escape
-                    } else if (*p == '"') {
-                        in_string = false;
-                    }
-                } else if (*p == '"') {
-                    in_string = true;
-                } else if (*p == open) {
-                    ++depth;
-                } else if (*p == close && --depth == 0) {
-                    ++p;
-                    return true;
-                }
-            }
-            return false;
-        }
-        double ignored;
-        if (parse_double(ignored))
-            return true;
-        bool flag;
-        return parse_bool(flag);
-    }
-
-    bool parse_u64_array(std::vector<std::uint64_t>& out)
-    {
-        if (!consume('['))
-            return false;
-        out.clear();
-        if (consume(']'))
-            return true;
-        for (;;) {
-            std::uint64_t v;
-            if (!parse_u64(v))
-                return false;
-            out.push_back(v);
-            if (consume(']'))
-                return true;
-            if (!consume(','))
-                return false;
-        }
-    }
-
-    bool parse_double_array(std::vector<double>& out)
-    {
-        if (!consume('['))
-            return false;
-        out.clear();
-        if (consume(']'))
-            return true;
-        for (;;) {
-            double v;
-            if (!parse_double(v))
-                return false;
-            out.push_back(v);
-            if (consume(']'))
-                return true;
-            if (!consume(','))
-                return false;
-        }
-    }
-};
-
-std::optional<hier::run_status> run_status_from_string(const std::string& s)
+bool get_json(const json::value& v, std::string& out)
 {
-    if (s == "ok")
-        return hier::run_status::ok;
-    if (s == "failed")
-        return hier::run_status::failed;
-    if (s == "timed_out")
-        return hier::run_status::timed_out;
-    if (s == "skipped_resumed")
-        return hier::run_status::skipped_resumed;
-    return std::nullopt;
+    if (v.k != json::value::kind::string)
+        return false;
+    out = v.text;
+    return true;
 }
-
-bool parse_energy(cursor& c, power::energy_breakdown& e)
+bool get_json(const json::value& v, hier::run_status& out)
 {
-    if (!c.consume('{'))
+    if (v.k != json::value::kind::string)
         return false;
-    if (c.consume('}'))
-        return true;
-    for (;;) {
-        std::string key;
-        if (!c.parse_string(key) || !c.consume(':'))
-            return false;
-        bool ok = true;
-        if (key == "dynamic_j")
-            ok = c.parse_double(e.dynamic_j);
-        else if (key == "static_l1_j")
-            ok = c.parse_double(e.static_l1_j);
-        else if (key == "static_storage_j")
-            ok = c.parse_double(e.static_storage_j);
-        else if (key == "static_l3_j")
-            ok = c.parse_double(e.static_l3_j);
-        else
-            ok = c.skip_value(); // total_j and future fields
-        if (!ok)
-            return false;
-        if (c.consume('}'))
+    for (const hier::run_status s :
+         {hier::run_status::ok, hier::run_status::failed,
+          hier::run_status::timed_out, hier::run_status::skipped_resumed})
+        if (v.text == to_string(s)) {
+            out = s;
             return true;
-        if (!c.consume(','))
+        }
+    return false;
+}
+bool get_json(const json::value& v, bool& out)
+{
+    out = v.boolean;
+    return v.k == json::value::kind::bool_t;
+}
+bool get_json(const json::value& v, std::uint64_t& out)
+{
+    return json::to_u64(v, out);
+}
+bool get_json(const json::value& v, std::uint32_t& out)
+{
+    std::uint64_t wide = 0;
+    if (!json::to_u64(v, wide) || wide > UINT32_MAX)
+        return false;
+    out = std::uint32_t(wide);
+    return true;
+}
+bool get_json(const json::value& v, double& out)
+{
+    return json::to_f64(v, out);
+}
+template <class T>
+bool get_json(const json::value& v, std::vector<T>& out)
+{
+    if (v.k != json::value::kind::array)
+        return false;
+    out.assign(v.items.size(), T{});
+    for (std::size_t i = 0; i < out.size(); ++i)
+        if (!get_json(v.items[i], out[i]))
             return false;
-    }
+    return true;
+}
+bool get_json(const json::value& v, energy_breakdown& out)
+{
+    if (v.k != json::value::kind::object)
+        return false;
+    for (const auto& [key, item] : v.members)
+        for (const hier::energy_field& f : hier::energy_fields) {
+            double derived = 0.0; // total_j: checked, then recomputed
+            if (key == f.key &&
+                !get_json(item, f.member ? out.*f.member : derived))
+                return false;
+        }
+    return true;
+}
+// hash_text's inverse: 1 to 16 hex digits, nothing else.
+bool get_hash(const json::value& v, const row_field& f, hier::row_coords& c)
+{
+    if (v.k != json::value::kind::string || v.text.empty() ||
+        v.text.size() > 16 ||
+        v.text.find_first_not_of("0123456789abcdefABCDEF") !=
+            std::string::npos)
+        return false;
+    c.*std::get<std::uint64_t hier::row_coords::*>(f.member) =
+        std::strtoull(v.text.c_str(), nullptr, 16);
+    return true;
 }
 
 } // namespace
 
 std::optional<decoded_run> decode_json_line(const std::string& line)
 {
-    cursor c{line.data(), line.data() + line.size()};
-    decoded_run out;
-    if (!c.consume('{'))
+    json::value root;
+    if (!json::parse(line, root) || root.k != json::value::kind::object)
         return std::nullopt;
-    if (c.consume('}'))
-        return out;
-    for (;;) {
-        std::string key;
-        if (!c.parse_string(key) || !c.consume(':'))
-            return std::nullopt;
-        bool ok = true;
-        hier::run_result& r = out.result;
-        if (key == "config")
-            ok = c.parse_string(r.config_name);
-        else if (key == "workload")
-            ok = c.parse_string(r.workload_name);
-        else if (key == "config_index") {
-            std::uint64_t v;
-            ok = c.parse_u64(v);
-            out.key.config = std::size_t(v);
-        } else if (key == "workload_index") {
-            std::uint64_t v;
-            ok = c.parse_u64(v);
-            out.key.workload = std::size_t(v);
-        } else if (key == "replicate") {
-            std::uint64_t v;
-            ok = c.parse_u64(v);
-            out.key.replicate = std::size_t(v);
-        } else if (key == "flat") {
-            std::uint64_t v;
-            ok = c.parse_u64(v);
-            out.key.flat = std::size_t(v);
-        } else if (key == "seed")
-            ok = c.parse_u64(out.seed);
-        else if (key == "instructions_requested")
-            ok = c.parse_u64(out.instructions_requested);
-        else if (key == "warmup")
-            ok = c.parse_u64(out.warmup);
-        else if (key == "manifest") {
-            std::string hex;
-            ok = c.parse_string(hex) && !hex.empty();
-            if (ok) {
-                char* after = nullptr;
-                out.manifest_hash = std::strtoull(hex.c_str(), &after, 16);
-                ok = after == hex.c_str() + hex.size();
-            }
-        }
-        else if (key == "status") {
-            std::string text;
-            ok = c.parse_string(text);
-            if (ok) {
-                const auto status = run_status_from_string(text);
-                if (!status.has_value())
-                    return std::nullopt;
-                r.status = *status;
-            }
-        } else if (key == "error")
-            ok = c.parse_string(r.error);
-        else if (key == "floating_point")
-            ok = c.parse_bool(r.floating_point);
-        else if (key == "instructions")
-            ok = c.parse_u64(r.instructions);
-        else if (key == "cycles")
-            ok = c.parse_u64(r.cycles);
-        else if (key == "ipc")
-            ok = c.parse_double(r.ipc);
-        else if (key == "cores") {
-            std::uint64_t v;
-            ok = c.parse_u64(v);
-            r.cores = std::uint32_t(v);
-        } else if (key == "per_core_ipc")
-            ok = c.parse_double_array(r.per_core_ipc);
-        else if (key == "weighted_speedup")
-            ok = c.parse_double(r.weighted_speedup);
-        else if (key == "sampled")
-            ok = c.parse_bool(r.sampled);
-        else if (key == "sampled_windows")
-            ok = c.parse_u64(r.sampled_windows);
-        else if (key == "measured_instructions")
-            ok = c.parse_u64(r.measured_instructions);
-        else if (key == "ipc_ci95")
-            ok = c.parse_double(r.ipc_ci95);
-        else if (key == "l2_read_hits")
-            ok = c.parse_u64(r.l2_read_hits);
-        else if (key == "fabric_read_hits")
-            ok = c.parse_u64_array(r.fabric_read_hits);
-        else if (key == "transport_actual")
-            ok = c.parse_u64(r.transport_actual);
-        else if (key == "transport_min")
-            ok = c.parse_u64(r.transport_min);
-        else if (key == "search_restarts")
-            ok = c.parse_u64(r.search_restarts);
-        else if (key == "searches")
-            ok = c.parse_u64(r.searches);
-        else if (key == "loads_l1")
-            ok = c.parse_u64(r.loads_l1);
-        else if (key == "loads_fabric")
-            ok = c.parse_u64(r.loads_fabric);
-        else if (key == "loads_l2")
-            ok = c.parse_u64(r.loads_l2);
-        else if (key == "loads_l3")
-            ok = c.parse_u64(r.loads_l3);
-        else if (key == "loads_dnuca")
-            ok = c.parse_u64(r.loads_dnuca);
-        else if (key == "loads_memory")
-            ok = c.parse_u64(r.loads_memory);
-        else if (key == "loads_peer")
-            ok = c.parse_u64(r.loads_peer);
-        else if (key == "avg_load_latency")
-            ok = c.parse_double(r.avg_load_latency);
-        else if (key == "host_seconds")
-            ok = c.parse_double(r.host_seconds);
-        else if (key == "sim_cycles_per_second")
-            ok = c.parse_double(r.sim_cycles_per_second);
-        else if (key == "sim_instructions_per_second")
-            ok = c.parse_double(r.sim_instructions_per_second);
-        else if (key == "energy")
-            ok = parse_energy(c, r.energy);
-        else
-            ok = c.skip_value();
+    decoded_run out;
+    for (const auto& [key, v] : root.members) {
+        const auto f = std::find_if(
+            std::begin(row_fields), std::end(row_fields),
+            [&](const row_field& field) { return key == field.key; });
+        if (f == std::end(row_fields))
+            continue; // a newer writer's field
+        const bool ok =
+            f->role == field_role::hash
+                ? get_hash(v, *f, out.coords)
+                : std::visit(
+                      [&](auto m) {
+                          return get_json(v, hier::field_value(m, out.coords,
+                                                               out.result));
+                      },
+                      f->member);
         if (!ok)
             return std::nullopt;
-        if (c.consume('}'))
-            return out;
-        if (!c.consume(','))
-            return std::nullopt;
     }
+    return out;
+}
+
+jsonl_rows read_jsonl(const std::string& content)
+{
+    jsonl_rows out;
+    std::size_t start = 0;
+    for (std::size_t line_no = 1; start < content.size(); ++line_no) {
+        const std::size_t end = std::min(content.find('\n', start),
+                                         content.size());
+        const std::size_t next = std::min(end + 1, content.size());
+        if (end > start) {
+            auto decoded = decode_json_line(content.substr(start, end - start));
+            if (!decoded) {
+                out.bad_line = line_no;
+                out.bad_offset = start;
+                out.torn = next == content.size();
+                break;
+            }
+            out.rows.emplace_back(line_no, std::move(*decoded));
+        }
+        start = next;
+    }
+    return out;
 }
 
 } // namespace lnuca::exp

@@ -3,8 +3,8 @@
 // The runner replays finished (job, run_result) pairs into every sink in
 // deterministic flat-job order, after the parallel phase — a sink never sees
 // scheduler-dependent interleavings, so its output is bit-stable across
-// thread counts *except* the host-timing fields (host_seconds and the
-// derived throughput rates), which measure the host by design.
+// thread counts *except* the fields hier::row_fields marks host_timing,
+// which measure the host by design.
 //
 // Formats:
 //   table_sink  human-readable summary table (one row per run)
@@ -12,7 +12,10 @@
 //   jsonl_sink  JSON-lines: one self-contained object per run, carrying the
 //               job coordinates, derived seed, the full run_result and the
 //               energy breakdown. decode_json_line() round-trips the format
-//               (bench/BENCH_*.json trajectory tooling and tests).
+//               (--resume, merge_tool and tests).
+//
+// CSV and JSONL list their fields from hier::row_fields
+// (src/hier/run_result.h); neither restates a field by hand.
 #pragma once
 
 #include "src/exp/job.h"
@@ -21,6 +24,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lnuca::exp {
@@ -62,7 +66,8 @@ private:
     std::vector<std::vector<std::string>> rows_;
 };
 
-/// Flat CSV with a fixed column set.
+/// Flat CSV: one column per hier::row_fields entry (arrays ';'-joined, the
+/// energy object flattened to energy_<key> columns).
 class csv_sink final : public sink {
 public:
     explicit csv_sink(std::ostream& out) : out_(out) {}
@@ -137,25 +142,39 @@ private:
 
 /// One decoded jsonl_sink line.
 struct decoded_run {
-    job_key key;
-    std::uint64_t seed = 0;
-    std::uint64_t instructions_requested = 0;
-    std::uint64_t warmup = 0;
-    /// Manifest provenance stamp (0 = ad-hoc sweep or pre-manifest row).
-    std::uint64_t manifest_hash = 0;
+    hier::row_coords coords;
     hier::run_result result;
 };
 
-/// Serialise one run the way jsonl_sink does (doubles keep full precision,
-/// so decode_json_line() round-trips bit-exactly). `status` is always
-/// emitted; `error` only when status != ok.
+/// Serialise one run the way jsonl_sink does: every hier::row_fields entry
+/// in table order, doubles at full precision so decode_json_line()
+/// round-trips bit-exactly.
 std::string encode_json_line(const job& j, const hier::run_result& r);
 
-/// Parse an encode_json_line() line. Returns std::nullopt — never UB or a
-/// partially-filled struct presented as valid — on any malformed input:
-/// truncation mid-string/mid-number/mid-escape, a missing closing brace, a
-/// non-numeric value for a numeric key, or an unknown status string. Lines
-/// from older writers without status/error decode with status == ok.
+/// Zero the host_timing fields of hier::row_fields: what is left is a pure
+/// function of the job, so two runs of it must agree bit for bit.
+void zero_host_timing(hier::run_result& r);
+
+/// Parse an encode_json_line() line with the strict reader in
+/// src/common/json.h. Returns std::nullopt - never UB or a partially-filled
+/// struct presented as valid - on any malformed input: truncation, trailing
+/// content, a value of the wrong type, a signed, fractional or out-of-range
+/// integer, or an unknown status string. Unknown keys are skipped and absent
+/// fields keep their defaults, so lines from older writers (no status, no
+/// manifest) decode with status == ok.
 std::optional<decoded_run> decode_json_line(const std::string& line);
+
+/// The rows of a JSONL file's `content` (for --resume and merge_tool), in
+/// file order, each with its 1-based line number; blank lines are skipped.
+/// Reading stops at the first line that does not decode. When that line is
+/// the last one it is the partial record a kill mid-write leaves (`torn`),
+/// which readers tolerate; anywhere else the file is corrupt.
+struct jsonl_rows {
+    std::vector<std::pair<std::size_t, decoded_run>> rows;
+    std::size_t bad_line = 0;   ///< 0 when every line decoded
+    std::size_t bad_offset = 0; ///< byte offset where the bad line starts
+    bool torn = false;          ///< the bad line is the file's last line
+};
+jsonl_rows read_jsonl(const std::string& content);
 
 } // namespace lnuca::exp

@@ -392,19 +392,9 @@ struct system::window_totals {
     std::uint64_t cycles = 0;
     std::vector<double> window_cpi; ///< one sample per window (CI input)
 
-    std::uint64_t l2_read_hits = 0;
-    std::vector<std::uint64_t> fabric_read_hits;
-    std::uint64_t transport_actual = 0;
-    std::uint64_t transport_min = 0;
-    std::uint64_t search_restarts = 0;
-    std::uint64_t searches = 0;
-    std::uint64_t loads_l1 = 0;
-    std::uint64_t loads_fabric = 0;
-    std::uint64_t loads_l2 = 0;
-    std::uint64_t loads_l3 = 0;
-    std::uint64_t loads_dnuca = 0;
-    std::uint64_t loads_memory = 0;
-    std::uint64_t loads_peer = 0;
+    /// The row's scaled fields (hit distribution, transport, restarts, load
+    /// service levels), summed; nothing else in it is used.
+    run_result counts;
     std::uint64_t load_latency_weighted = 0; ///< exact Σ latency (histogram)
     std::uint64_t load_latency_count = 0;
     power::energy_inputs energy; ///< event counts summed over windows
@@ -418,19 +408,7 @@ struct system::window_totals {
         ar(instructions);
         ar(cycles);
         ar(window_cpi);
-        ar(l2_read_hits);
-        ar(fabric_read_hits);
-        ar(transport_actual);
-        ar(transport_min);
-        ar(search_restarts);
-        ar(searches);
-        ar(loads_l1);
-        ar(loads_fabric);
-        ar(loads_l2);
-        ar(loads_l3);
-        ar(loads_dnuca);
-        ar(loads_memory);
-        ar(loads_peer);
+        for_each_count([&](auto m) { ar(counts.*m); });
         ar(load_latency_weighted);
         ar(load_latency_count);
         ar(energy);
@@ -505,23 +483,23 @@ system::level_snapshot system::snap_levels() const
 
 void system::harvest_levels(const level_snapshot& snap, window_totals& totals)
 {
+    run_result& n = totals.counts;
     if (l2_)
-        totals.l2_read_hits +=
-            counter_delta(l2_->counters(), "read_hit", snap.l2);
+        n.l2_read_hits += counter_delta(l2_->counters(), "read_hit", snap.l2);
     if (fabric_) {
-        if (totals.fabric_read_hits.empty())
-            totals.fabric_read_hits.assign(config_.fabric.levels + 1, 0);
+        if (n.fabric_read_hits.empty())
+            n.fabric_read_hits.assign(config_.fabric.levels + 1, 0);
         for (unsigned level = 2; level <= config_.fabric.levels; ++level)
-            totals.fabric_read_hits[level] +=
+            n.fabric_read_hits[level] +=
                 fabric_->read_hits_in_level(level) - snap.fab_hits[level];
-        totals.transport_actual +=
+        n.transport_actual +=
             fabric_->transport_actual_cycles() - snap.transport_actual;
-        totals.transport_min +=
+        n.transport_min +=
             fabric_->transport_min_cycles() - snap.transport_min;
-        totals.search_restarts +=
+        n.search_restarts +=
             counter_delta(fabric_->counters(), "search_restarts", snap.fabric);
-        totals.searches += counter_delta(fabric_->counters(),
-                                         "searches_injected", snap.fabric);
+        n.searches += counter_delta(fabric_->counters(), "searches_injected",
+                                    snap.fabric);
     }
 
     power::energy_inputs& in = totals.energy;
@@ -563,14 +541,14 @@ void system::harvest_levels(const level_snapshot& snap, window_totals& totals)
 
 void system::harvest_core(cpu::ooo_core& core, window_totals& totals) const
 {
-    totals.loads_l1 += core.loads_served_by(mem::service_level::l1);
-    totals.loads_fabric +=
-        core.loads_served_by(mem::service_level::lnuca_tile);
-    totals.loads_l2 += core.loads_served_by(mem::service_level::l2);
-    totals.loads_l3 += core.loads_served_by(mem::service_level::l3);
-    totals.loads_dnuca += core.loads_served_by(mem::service_level::dnuca);
-    totals.loads_memory += core.loads_served_by(mem::service_level::memory);
-    totals.loads_peer += core.loads_served_by(mem::service_level::peer_l1);
+    run_result& n = totals.counts;
+    n.loads_l1 += core.loads_served_by(mem::service_level::l1);
+    n.loads_fabric += core.loads_served_by(mem::service_level::lnuca_tile);
+    n.loads_l2 += core.loads_served_by(mem::service_level::l2);
+    n.loads_l3 += core.loads_served_by(mem::service_level::l3);
+    n.loads_dnuca += core.loads_served_by(mem::service_level::dnuca);
+    n.loads_memory += core.loads_served_by(mem::service_level::memory);
+    n.loads_peer += core.loads_served_by(mem::service_level::peer_l1);
     totals.load_latency_weighted += core.load_latency().weighted_sum();
     totals.load_latency_count += core.load_latency().total();
 }
@@ -584,20 +562,14 @@ void system::apply_totals(run_result& r, const window_totals& totals,
     const auto scaled = [factor](std::uint64_t v) {
         return std::uint64_t(std::llround(double(v) * factor));
     };
-    r.l2_read_hits = scaled(totals.l2_read_hits);
-    for (const std::uint64_t hits : totals.fabric_read_hits)
-        r.fabric_read_hits.push_back(scaled(hits));
-    r.transport_actual = scaled(totals.transport_actual);
-    r.transport_min = scaled(totals.transport_min);
-    r.search_restarts = scaled(totals.search_restarts);
-    r.searches = scaled(totals.searches);
-    r.loads_l1 = scaled(totals.loads_l1);
-    r.loads_fabric = scaled(totals.loads_fabric);
-    r.loads_l2 = scaled(totals.loads_l2);
-    r.loads_l3 = scaled(totals.loads_l3);
-    r.loads_dnuca = scaled(totals.loads_dnuca);
-    r.loads_memory = scaled(totals.loads_memory);
-    r.loads_peer = scaled(totals.loads_peer);
+    for_each_count([&](auto m) {
+        const auto& sum = totals.counts.*m;
+        if constexpr (std::is_same_v<decltype(sum), const std::uint64_t&>)
+            r.*m = scaled(sum);
+        else
+            for (const std::uint64_t v : sum)
+                (r.*m).push_back(scaled(v));
+    });
     r.avg_load_latency =
         totals.load_latency_count == 0
             ? 0.0

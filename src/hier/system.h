@@ -8,6 +8,7 @@
 #include "src/dnuca/dnuca_cache.h"
 #include "src/fabric/lnuca_cache.h"
 #include "src/hier/presets.h"
+#include "src/hier/run_result.h"
 #include "src/mem/bus.h"
 #include "src/mem/cache.h"
 #include "src/mem/main_memory.h"
@@ -26,96 +27,6 @@ class trace_writer;
 } // namespace lnuca::trace
 
 namespace lnuca::hier {
-
-/// Outcome of one experiment job. `ok` rows carry real measurements; the
-/// failure states carry a zeroed result plus run_result::error, so a sweep
-/// with a crashing or stalled job still produces one structured row per
-/// job instead of aborting (src/exp/runner.cpp threads these through the
-/// report, every sink, and decode_json_line).
-enum class run_status : std::uint8_t {
-    ok = 0,          ///< measured normally
-    failed,          ///< the job threw; error holds the exception text
-    timed_out,       ///< exceeded the per-job soft timeout (worker abandoned)
-    skipped_resumed, ///< --resume: row reloaded from the existing output
-};
-
-constexpr const char* to_string(run_status s)
-{
-    switch (s) {
-    case run_status::ok: return "ok";
-    case run_status::failed: return "failed";
-    case run_status::timed_out: return "timed_out";
-    case run_status::skipped_resumed: return "skipped_resumed";
-    }
-    return "unknown";
-}
-
-/// Everything a bench/table needs from one (config, workload) run.
-struct run_result {
-    std::string config_name;
-    std::string workload_name;
-    bool floating_point = false;
-
-    // Job outcome (see run_status). Failure rows keep the identity fields
-    // and host_seconds but zero every measurement; `error` is empty unless
-    // status is failed/timed_out.
-    run_status status = run_status::ok;
-    std::string error;
-
-    std::uint64_t instructions = 0;
-    std::uint64_t cycles = 0;
-    double ipc = 0.0;
-
-    // Read-hit distribution (Table III): conventional L2 hits, or per
-    // L-NUCA level read hits (index = level, 2-based).
-    std::uint64_t l2_read_hits = 0;
-    std::vector<std::uint64_t> fabric_read_hits;
-
-    // Transport latency accounting (Table III right).
-    std::uint64_t transport_actual = 0;
-    std::uint64_t transport_min = 0;
-
-    // Contention restarts (Section III-C: "rarely occurs" - verified).
-    std::uint64_t search_restarts = 0;
-    std::uint64_t searches = 0;
-
-    power::energy_breakdown energy;
-
-    // Load service distribution as seen by the core.
-    std::uint64_t loads_l1 = 0;
-    std::uint64_t loads_fabric = 0;
-    std::uint64_t loads_l2 = 0;
-    std::uint64_t loads_l3 = 0;
-    std::uint64_t loads_dnuca = 0;
-    std::uint64_t loads_memory = 0;
-    std::uint64_t loads_peer = 0; ///< CMP: cache-to-cache from a peer L1
-    double avg_load_latency = 0.0;
-
-    // CMP mode (cores > 1): per-core committed-instruction IPC in core
-    // order, and - when the caller supplies a single-core baseline (see
-    // weighted_speedup()) - the multiprogrammed weighted speedup
-    // sum_i(IPC_i / IPC_single_i). Single-core runs leave cores == 1,
-    // per_core_ipc empty and weighted_speedup 0.
-    std::uint32_t cores = 1;
-    std::vector<double> per_core_ipc;
-    double weighted_speedup = 0.0;
-
-    // Sampled execution (see sampling_config). When `sampled` is true,
-    // cycles/ipc/energy/loads are statistical estimates extrapolated from
-    // the measured windows; when false they are exact measurements and the
-    // sampling fields below are zero.
-    bool sampled = false;
-    std::uint64_t sampled_windows = 0;      ///< detailed windows measured
-    std::uint64_t measured_instructions = 0; ///< instructions inside windows
-    double ipc_ci95 = 0.0; ///< half-width of the 95% CI around `ipc`
-
-    // Host-side throughput of the measurement window. These are the only
-    // fields that are *not* deterministic - exclude them from bit-identity
-    // comparisons (exp_test/hier_test do).
-    double host_seconds = 0.0;
-    double sim_cycles_per_second = 0.0;    ///< cycles / host_seconds
-    double sim_instructions_per_second = 0.0;
-};
 
 /// One core's front-end assignment: what to run and where its data lives.
 /// Scenario/trace profiles carry their own addresses and ignore

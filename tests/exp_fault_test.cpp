@@ -102,10 +102,7 @@ void expect_rows_match(const std::vector<decoded_run>& a,
 {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_TRUE(a[i].key == b[i].key) << "row " << i;
-        EXPECT_EQ(a[i].seed, b[i].seed);
-        EXPECT_EQ(a[i].instructions_requested, b[i].instructions_requested);
-        EXPECT_EQ(a[i].warmup, b[i].warmup);
+        EXPECT_TRUE(a[i].coords == b[i].coords) << "row " << i;
         expect_sim_fields_identical(a[i].result, b[i].result);
     }
 }
@@ -399,7 +396,7 @@ TEST(exit_codes, job_failure_exits_1_and_cli_error_exits_2)
     // File history: 6 rows from the failed run + 1 corrected row for job 0.
     ASSERT_EQ(rows.size(), k_jobs + 1);
     EXPECT_EQ(rows.front().result.status, hier::run_status::failed);
-    EXPECT_EQ(rows.back().key.flat, 0u);
+    EXPECT_EQ(rows.back().coords.flat, 0u);
     EXPECT_EQ(rows.back().result.status, hier::run_status::ok);
 }
 

@@ -1,6 +1,7 @@
 // Experiment-runner subsystem: determinism of the work-stealing pool,
 // shard partition/union correctness, seed-lane derivation, and the
 // JSON-lines sink round-trip.
+#include "src/common/json.h"
 #include "src/exp/pool.h"
 #include "src/exp/run_app.h"
 #include "src/exp/runner.h"
@@ -194,12 +195,16 @@ TEST(sharding, sharded_results_match_the_full_run)
 // Sinks.
 // --------------------------------------------------------------------------
 
+// Every row field holds a distinct non-default value, so a field the
+// decoder drops changes the re-encoded bytes (jsonl.round_trip_is_exact).
 hier::run_result synthetic_result()
 {
     hier::run_result r;
     r.config_name = "LN3, \"quoted\", with, commas";
     r.workload_name = "429.mcf";
     r.floating_point = true;
+    r.status = hier::run_status::failed;
+    r.error = "injected fault, \"quoted\"\r\x01 tail";
     r.instructions = 123456789;
     r.cycles = 987654321;
     r.ipc = 0.12499999999999997; // needs all 17 significant digits
@@ -219,7 +224,11 @@ hier::run_result synthetic_result()
     r.loads_l3 = 44;
     r.loads_dnuca = 55;
     r.loads_memory = 66;
+    r.loads_peer = 77;
     r.avg_load_latency = 7.0999999999999996;
+    r.cores = 3;
+    r.per_core_ipc = {0.30000000000000004, 1.0 / 3.0, 2.5e-7};
+    r.weighted_speedup = 2.7182818284590451;
     r.sampled = true;
     r.sampled_windows = 12;
     r.measured_instructions = 24000;
@@ -237,7 +246,32 @@ job synthetic_job()
     j.instructions = 50000;
     j.warmup = 8000;
     j.seed = rng::split(99, 2, 7, 1);
+    j.manifest_hash = 0x00c0ffee5eed1234ULL;
     return j;
+}
+
+bool same_json(const json::value& a, const json::value& b)
+{
+    if (a.k != b.k || a.boolean != b.boolean || a.text != b.text ||
+        a.items.size() != b.items.size() ||
+        a.members.size() != b.members.size())
+        return false;
+    for (std::size_t i = 0; i < a.items.size(); ++i)
+        if (!same_json(a.items[i], b.items[i]))
+            return false;
+    for (std::size_t i = 0; i < a.members.size(); ++i)
+        if (a.members[i].first != b.members[i].first ||
+            !same_json(a.members[i].second, b.members[i].second))
+            return false;
+    return true;
+}
+
+const json::value* member(const json::value& object, const std::string& key)
+{
+    for (const auto& [k, v] : object.members)
+        if (k == key)
+            return &v;
+    return nullptr;
 }
 
 TEST(jsonl, round_trip_is_exact)
@@ -246,21 +280,38 @@ TEST(jsonl, round_trip_is_exact)
     const hier::run_result r = synthetic_result();
     const std::string line = encode_json_line(j, r);
 
+    // The fixture covers the whole table: every key is written, and none
+    // (nor any energy entry) carries its default value.
+    json::value full, defaults;
+    ASSERT_TRUE(json::parse(line, full));
+    ASSERT_TRUE(json::parse(encode_json_line(job{}, hier::run_result{}),
+                            defaults));
+    EXPECT_EQ(full.members.size(), std::size(hier::row_fields));
+    for (const auto& [key, v] : full.members) {
+        const json::value* d = member(defaults, key);
+        if (d == nullptr)
+            continue; // written only for this fixture (error, manifest)
+        if (v.k == json::value::kind::object) {
+            for (const auto& [sub, sv] : v.members)
+                EXPECT_FALSE(same_json(sv, *member(*d, sub)))
+                    << key << "." << sub << " is at its default";
+        } else {
+            EXPECT_FALSE(same_json(v, *d)) << key << " is at its default";
+        }
+    }
+
     const auto decoded = decode_json_line(line);
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_TRUE(decoded->key == j.key);
-    EXPECT_EQ(decoded->seed, j.seed);
-    EXPECT_EQ(decoded->instructions_requested, j.instructions);
-    EXPECT_EQ(decoded->warmup, j.warmup);
+    EXPECT_TRUE(decoded->coords == j.coords());
     expect_identical(decoded->result, r);
+    EXPECT_EQ(decoded->result.error, r.error);
     EXPECT_EQ(decoded->result.host_seconds, r.host_seconds);
     EXPECT_EQ(decoded->result.sim_cycles_per_second, r.sim_cycles_per_second);
     EXPECT_EQ(decoded->result.sim_instructions_per_second,
               r.sim_instructions_per_second);
 
     // Encoding the decoded run reproduces the exact bytes.
-    job j2 = j;
-    EXPECT_EQ(encode_json_line(j2, decoded->result), line);
+    EXPECT_EQ(encode_json_line(j, decoded->result), line);
 }
 
 TEST(jsonl, sink_emits_one_line_per_run_and_rejects_garbage)
@@ -287,6 +338,34 @@ TEST(jsonl, sink_emits_one_line_per_run_and_rejects_garbage)
     // cleanly, not scan past the end of the buffer.
     EXPECT_FALSE(decode_json_line("{\"x\":[\"\\").has_value());
     EXPECT_FALSE(decode_json_line("{\"x\":{\"y\":\"\\").has_value());
+    // Out-of-range, signed or non-integer numbers are errors, never a
+    // truncated, wrapped or saturated value.
+    EXPECT_FALSE(decode_json_line("{\"cores\":4294967297}").has_value());
+    EXPECT_FALSE(decode_json_line("{\"instructions\":-1}").has_value());
+    EXPECT_FALSE(decode_json_line("{\"instructions\":+5}").has_value());
+    EXPECT_FALSE(decode_json_line("{\"instructions\":5.0}").has_value());
+    EXPECT_FALSE(
+        decode_json_line("{\"flat\":99999999999999999999999}").has_value());
+    EXPECT_FALSE(decode_json_line("{\"ipc\":nan}").has_value());
+    EXPECT_FALSE(decode_json_line("{\"ipc\":1e999}").has_value());
+    EXPECT_FALSE(decode_json_line("{\"manifest\":\"-1\"}").has_value());
+    EXPECT_FALSE(
+        decode_json_line("{\"energy\":{\"total_j\":\"x\"}}").has_value());
+    // A \u escape needs exactly four hex digits.
+    EXPECT_FALSE(decode_json_line("{\"config\":\"a\\u00zzb\"}").has_value());
+    EXPECT_FALSE(decode_json_line("{\"config\":\"a\\u00\"}").has_value());
+    // Nothing may follow the object.
+    EXPECT_FALSE(decode_json_line("{\"cycles\":1} x").has_value());
+    EXPECT_FALSE(decode_json_line("{\"cycles\":1}}").has_value());
+
+    // The largest core count fits; the standard escapes all decode.
+    const auto cores = decode_json_line("{\"cores\":4294967295}");
+    ASSERT_TRUE(cores.has_value());
+    EXPECT_EQ(cores->result.cores, 4294967295u);
+    const auto escaped = decode_json_line(
+        "{\"config\":\"a\\/b\\rc\\bd\\fe\\u0041\\u00e9\"}");
+    ASSERT_TRUE(escaped.has_value());
+    EXPECT_EQ(escaped->result.config_name, "a/b\rc\bd\feA\xc3\xa9");
 }
 
 TEST(jsonl, truncated_lines_decode_to_nullopt_never_partial_structs)
@@ -325,7 +404,10 @@ TEST(jsonl, status_and_error_round_trip)
     EXPECT_EQ(encode_json_line(j, decoded->result), line);
 
     // Lines from pre-status writers decode with status == ok ...
-    std::string old_line = encode_json_line(j, synthetic_result());
+    hier::run_result ok_result = synthetic_result();
+    ok_result.status = hier::run_status::ok;
+    ok_result.error.clear();
+    std::string old_line = encode_json_line(j, ok_result);
     const std::string status_field = ",\"status\":\"ok\"";
     const std::size_t at = old_line.find(status_field);
     ASSERT_NE(at, std::string::npos);
@@ -373,6 +455,27 @@ TEST(jsonl, batches_rows_and_flushes_on_threshold_finish_and_destruction)
     EXPECT_EQ(leftover.str(), line);
 }
 
+// Split one CSV line into its fields, honouring quotes.
+std::vector<std::string> csv_fields(const std::string& line)
+{
+    std::vector<std::string> fields(1);
+    bool quoted = false;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        const char c = line[i];
+        if (quoted && c == '"' && i + 1 < line.size() && line[i + 1] == '"') {
+            fields.back() += '"';
+            ++i;
+        } else if (c == '"') {
+            quoted = !quoted;
+        } else if (c == ',' && !quoted) {
+            fields.emplace_back();
+        } else {
+            fields.back() += c;
+        }
+    }
+    return fields;
+}
+
 TEST(csv, header_plus_one_row_per_run)
 {
     std::ostringstream out;
@@ -388,6 +491,38 @@ TEST(csv, header_plus_one_row_per_run)
     // The comma-laden config name survives CSV quoting.
     EXPECT_NE(row.find("\"LN3, \"\"quoted\"\", with, commas\""),
               std::string::npos);
+
+    const std::vector<std::string> columns = csv_fields(header);
+    const std::vector<std::string> values = csv_fields(row);
+    EXPECT_EQ(columns.size(), values.size());
+    EXPECT_EQ(values[0], synthetic_result().config_name);
+
+    // Every JSONL leaf has its column; a nested object's leaves are
+    // <object>_<key>.
+    json::value line;
+    ASSERT_TRUE(json::parse(encode_json_line(synthetic_job(),
+                                             synthetic_result()),
+                            line));
+    std::vector<std::string> leaves;
+    for (const auto& [key, v] : line.members) {
+        if (v.k != json::value::kind::object)
+            leaves.push_back(key);
+        for (const auto& sub : v.members)
+            leaves.push_back(key + "_" + sub.first);
+    }
+    for (const std::string& leaf : leaves)
+        EXPECT_NE(std::find(columns.begin(), columns.end(), leaf),
+                  columns.end())
+            << "no CSV column for " << leaf;
+    EXPECT_EQ(columns.size(), leaves.size());
+    // Arrays pack into one ';'-joined field (Table III's hit distribution).
+    const auto at = [&](const char* name) {
+        return values[std::size_t(
+            std::find(columns.begin(), columns.end(), name) -
+            columns.begin())];
+    };
+    EXPECT_EQ(at("fabric_read_hits"), "0;0;777;31");
+    EXPECT_EQ(at("manifest"), "00c0ffee5eed1234");
 }
 
 TEST(runner, sinks_see_jobs_in_flat_order_regardless_of_threads)

@@ -2,10 +2,9 @@
 // determinism tests (thread count / shard layout must not change a field),
 // the engine-schedule tests (dense vs idle-skip must not change a field)
 // and the driver goldens. It compares the row's JSONL encoding with the
-// host-timing trio (host_seconds and the derived throughput rates) zeroed:
-// those measure the host, not the simulation. encode_json_line writes every
-// run_result field, energy included, so a new row field is covered as soon
-// as the sink emits it.
+// host_timing fields of hier::row_fields zeroed: those measure the host, not
+// the simulation. encode_json_line writes every row_fields entry, so a new
+// row field is covered as soon as it has its table line.
 #pragma once
 
 #include "src/exp/sink.h"
@@ -19,13 +18,11 @@
 namespace lnuca {
 
 /// The deterministic encoding of one row: encode_json_line with the job
-/// coordinates defaulted and the host-timing fields zeroed.
+/// coordinates defaulted and the host_timing fields zeroed.
 inline std::string sim_fields_line(const hier::run_result& r)
 {
     hier::run_result stripped = r;
-    stripped.host_seconds = 0.0;
-    stripped.sim_cycles_per_second = 0.0;
-    stripped.sim_instructions_per_second = 0.0;
+    exp::zero_host_timing(stripped);
     return exp::encode_json_line(exp::job{}, stripped);
 }
 
